@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 from typing import Optional, Sequence
@@ -26,17 +25,6 @@ from .verify import (check_lemma, check_theorem1, check_theorem2,
 
 class UsageError(Exception):
     pass
-
-
-def _threads_from(args) -> int:
-    raw = args.threads if args.threads is not None else os.environ.get("MNLAB_THREADS", "1")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise UsageError(f"--threads: expected an integer, got {raw!r}")
-    if n < 1:
-        raise UsageError(f"--threads: must be >= 1, got {n}")
-    return n
 
 
 def _emit(payload: dict, out: Optional[str]) -> None:
@@ -161,15 +149,14 @@ def _cmd_interval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    _threads_from(args)  # validated; sweeps run sequentially
     if args.what == "lemma":
         report = check_lemma(max_order=args.max_order)
     elif args.what == "theorem1":
         if args.p is None:
             raise UsageError("verify theorem1 requires --p")
         if args.p == 3 and not args.slow:
-            raise UsageError("verify theorem1 --p 3 sweeps degrees 6 and 7;"
-                             " pass --slow to confirm the slow tier")
+            raise UsageError("verify theorem1 --p 3 enumerates all 1455 subgroups"
+                             " of S6; pass --slow to confirm the slow tier")
         report = check_theorem1(args.p)
     elif args.what == "theorem2":
         if args.p is None or args.max_size is None:
@@ -232,9 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--p", type=int)
     v.add_argument("--max-size", type=int)
     v.add_argument("--slow", action="store_true",
-                   help="allow the slow tier (degree-6/7 enumeration)")
-    v.add_argument("--threads", help="worker hint; merged output is"
-                                     " deterministic (MNLAB_THREADS fallback)")
+                   help="allow the slow tier (degree-6 enumeration)")
     v.add_argument("--out")
     v.set_defaults(func=_cmd_verify)
 

@@ -257,23 +257,7 @@ class PermGroup:
         return self.degree == other.degree and self._eset <= other._eset
 
     def orbits(self) -> list[tuple[int, ...]]:
-        parent = list(range(self.degree))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        for g in self.generators:
-            for i, j in enumerate(g._b):
-                ri, rj = find(i), find(j)
-                if ri != rj:
-                    parent[ri] = rj
-        groups: dict[int, list[int]] = {}
-        for i in range(self.degree):
-            groups.setdefault(find(i), []).append(i)
-        return [tuple(v) for v in sorted(groups.values())]
+        return _orbits(self.degree, (g._b for g in self.generators))
 
     def is_transitive(self) -> bool:
         return len(self.orbits()) == 1
@@ -281,6 +265,28 @@ class PermGroup:
     def point_stabilizer(self, x: int) -> "PermGroup":
         eset = {p._b for p in self.elements if p._b[x] == x}
         return PermGroup._from_eset(self.degree, eset, _small_genset(self.degree, eset))
+
+
+def _orbits(degree: int, gens: Iterable[bytes]) -> list[tuple[int, ...]]:
+    """Orbits on {0..degree-1} of the group generated by ``gens`` (image
+    bytes), each sorted, in order of least point."""
+    parent = list(range(degree))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for g in gens:
+        for i, j in enumerate(g):
+            ri, rj = find(i), find(j)
+            if ri != rj:
+                parent[ri] = rj
+    groups: dict[int, list[int]] = {}
+    for i in range(degree):
+        groups.setdefault(find(i), []).append(i)
+    return [tuple(v) for v in sorted(groups.values())]
 
 
 def _small_genset(degree: int, eset: Iterable[bytes]) -> tuple[bytes, ...]:
@@ -333,27 +339,33 @@ def _cyclic_subgroup_records(G: PermGroup) -> dict[frozenset, tuple[bytes, ...]]
     return out
 
 
-def _is_prime_power(n: int) -> bool:
+def _prime_power(n: int) -> Optional[int]:
+    """The prime q with n = q**k for some k >= 1, or None.  So n is prime
+    exactly when ``_prime_power(n) == n``."""
     if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            while n % p == 0:
-                n //= p
-            return n == 1
-        p += 1
-    return True
+        return None
+    q = 2
+    while q * q <= n:
+        if n % q == 0:
+            while n % q == 0:
+                n //= q
+            return q if n == 1 else None
+        q += 1
+    return n
 
 
-@functools.lru_cache(maxsize=None)
-def all_subgroups(G: PermGroup, max_order: int = DEFAULT_ORDER_BOUND) -> tuple[PermGroup, ...]:
-    """Every subgroup of G, in canonical order.
+def subgroup_records(G: PermGroup, max_order: int = DEFAULT_ORDER_BOUND
+                     ) -> dict[frozenset, tuple[bytes, ...]]:
+    """Every subgroup of G as {element set: generators (image bytes)}.
 
-    Seeds with all cyclic subgroups and closes under pairwise join until no
-    new subgroup appears.  Joins are scheduled against the prime-power cyclic
-    subgroups only, which reaches the same fixed point: every subgroup is the
-    join of the prime-power cyclic subgroups it contains.
+    Seeds with all cyclic subgroups and closes under joins with the
+    prime-power cyclic subgroups until no new subgroup appears; that fixed
+    point holds every subgroup, because each is the join of the prime-power
+    cyclic subgroups it contains.  Joins are computed for one representative
+    per conjugacy class: when a subgroup is found, its whole class is filled
+    in by conjugating breadth-first under G's generators.  The prime-power
+    cyclic subgroups form a conjugation-closed set, so the joins of a
+    conjugate are the conjugates of the representative's joins.
     """
     if G.order > max_order:
         raise ValueError(f"group order {G.order} exceeds bound {max_order}")
@@ -363,27 +375,61 @@ def all_subgroups(G: PermGroup, max_order: int = DEFAULT_ORDER_BOUND) -> tuple[P
     # largest possible proper-subgroup order; a closure past it must be G
     largest_proper = G.order // min(
         (p for p in range(2, G.order + 1) if G.order % p == 0), default=1)
+    # one shared bytes object per element keeps the element sets small
+    intern = {b: b for b in full_key}
+    # (table of c, inverse of c) per generator c: c.y.c^-1 = (c.y) composed c^-1
+    conj_by = [(_table(c._b), _inverse(c._b)) for c in G.generators]
+
+    def conjugate(xs: Iterable[bytes], tc: bytes, cinv: bytes) -> tuple[bytes, ...]:
+        return tuple(intern[cinv.translate(_table(y.translate(tc)))] for y in xs)
+
+    subs: dict[frozenset, tuple[bytes, ...]] = {
+        full_key: tuple(g._b for g in G.generators),
+        frozenset({ident}): (),
+    }
+    reps: deque[tuple[frozenset, tuple[bytes, ...]]] = deque()
+
+    def add_class(eset: frozenset, gens: tuple[bytes, ...]) -> None:
+        """Insert eset and its conjugacy class; queue eset as the class rep."""
+        subs[eset] = gens
+        reps.append((eset, gens))
+        frontier = [(eset, gens)]
+        while frontier:
+            new = []
+            for kset, kgens in frontier:
+                for tc, cinv in conj_by:
+                    conj = frozenset(conjugate(kset, tc, cinv))
+                    if conj not in subs:
+                        subs[conj] = conjugate(kgens, tc, cinv)
+                        new.append((conj, subs[conj]))
+            frontier = new
 
     cyc = _cyclic_subgroup_records(G)
-    subs: dict[frozenset, tuple[bytes, ...]] = {frozenset({ident}): ()}
-    subs.update(cyc)
-    subs[full_key] = tuple(g._b for g in G.generators)
-    units = sorted((gens[0], key) for key, gens in cyc.items()
-                   if _is_prime_power(len(key)))
+    for eset, gens in cyc.items():
+        eset = frozenset(intern[x] for x in eset)
+        if eset not in subs:
+            add_class(eset, gens)
+    units = sorted(gens[0] for eset, gens in cyc.items()
+                   if _prime_power(len(eset)) is not None)
 
-    work = deque(kv for kv in subs.items() if kv[0] != full_key)
-    while work:
-        eset, gens = work.popleft()
-        for g, ceset in units:
+    while reps:
+        eset, gens = reps.popleft()
+        for g in units:
             if g in eset:
                 continue
             res = mulclose(degree, gens + (g,), seed=eset, stop_above=largest_proper)
-            key = full_key if res is None else frozenset(res)
+            key = full_key if res is None else frozenset(intern[x] for x in res)
             if key not in subs:
-                item = (key, gens + (g,))
-                subs[key] = item[1]
-                work.append(item)
-    groups = [PermGroup._from_eset(degree, eset, gens) for eset, gens in subs.items()]
+                add_class(key, gens + (g,))
+    return subs
+
+
+@functools.lru_cache(maxsize=None)
+def all_subgroups(G: PermGroup, max_order: int = DEFAULT_ORDER_BOUND) -> tuple[PermGroup, ...]:
+    """Every subgroup of G (see subgroup_records), ordered by order, then by
+    sorted element images."""
+    groups = [PermGroup._from_eset(G.degree, eset, gens)
+              for eset, gens in subgroup_records(G, max_order).items()]
     groups.sort(key=lambda K: (K.order, K.key()))
     return tuple(groups)
 

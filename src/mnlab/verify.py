@@ -3,10 +3,9 @@ actions of small degree, Galois-closed partition systems, and the minimal
 congruence-lattice witness.
 
 Each sweep returns a VerificationReport whose findings are fully determined
-by its parameters (timing aside).  The exact subgroup enumeration for the
-degree-6 tier accelerates the plain join-closure by expanding conjugacy
-orbits; the degree-7 tier sweeps generator pairs instead, under a documented
-2-generation assumption.
+by its parameters (timing aside).  Every verdict is exact: the transitive
+sweep enumerates every subgroup of each symmetric group up to degree 6 and
+excludes degree 7 by the prime-degree rule, which its report states.
 """
 
 from __future__ import annotations
@@ -15,32 +14,25 @@ import hashlib
 import itertools
 import json
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .congruence import (UnaryAlgebra, _congruence_set, _principal_rgs,
                          all_congruences, gset_algebra, preserving_maps)
 from .construct import catalog, dihedral, regular_action, symmetric
 from .lattice import FinLattice
 from .partition import Partition, all_rgs, rgs_join, rgs_meet, rgs_refines
-from .perm import (PermGroup, _cyclic_subgroup_records, _inverse,
-                   _is_prime_power, _order_of, _table, all_subgroups,
-                   is_dihedral, is_normal, is_simple, mulclose, quotient)
+from .perm import (PermGroup, _orbits, _order_of, _prime_power, _small_genset,
+                   all_subgroups, is_dihedral, is_normal, is_simple, mulclose,
+                   quotient, subgroup_records)
 
 LEMMA_ORDER_BOUND = 48
+THEOREM1_ENUM_DEGREE = 6
 THEOREM2_SIZE_BOUND = 6
-
-
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    p = 2
-    while p * p <= n:
-        if n % p == 0:
-            return False
-        p += 1
-    return True
+PRIME_DEGREE_RULE = (
+    "prime-degree rule: the blocks of a transitive action all have one size,"
+    " which divides the degree, so at a prime degree Con is the 2-element"
+    " chain and never M_n")
 
 
 def _subgroup_key(H: PermGroup) -> str:
@@ -127,15 +119,15 @@ class VerificationReport:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
-def _mn_of_interval(members: Sequence[PermGroup]) -> Optional[int]:
-    """n if the inclusion order on ``members`` is M_n (n >= 3), else None."""
-    n = len(members) - 2
+def _mn_of(mids: Sequence, leq: Callable[[object, object], bool]) -> Optional[int]:
+    """n = len(mids) if the middle elements of a bounded order make it M_n:
+    at least 3 of them, pairwise incomparable under ``leq``.  None otherwise."""
+    n = len(mids)
     if n < 3:
         return None
-    mids = members[1:-1]  # members come order-sorted: H first, G last
     for i, a in enumerate(mids):
         for b in mids[i + 1:]:
-            if a._eset <= b._eset or b._eset <= a._eset:
+            if leq(a, b) or leq(b, a):
                 return None
     return n
 
@@ -157,7 +149,7 @@ def check_lemma(max_order: int = 24) -> VerificationReport:
             iv = sorted((K for K in subs if H._eset <= K._eset),
                         key=lambda K: (K.order, K.key()))
             n_intervals += 1
-            n = _mn_of_interval(iv)
+            n = _mn_of(iv[1:-1], PermGroup.is_subgroup_of)  # H first, G last
             if n is None:
                 continue
             n_mn += 1
@@ -175,7 +167,7 @@ def check_lemma(max_order: int = 24) -> VerificationReport:
                     rot_gen = min(p._b for p in Q.elements if _order_of(p._b) == m)
                     powers = mulclose(Q.degree, (rot_gen,))
                     R = PermGroup._from_eset(Q.degree, powers, (rot_gen,))
-                    rotation_simple = is_simple(R) and _is_prime(R.order)
+                    rotation_simple = is_simple(R) and _prime_power(R.order) == R.order
             two_index2 = sum(1 for K in iv[1:-1]
                              if K.order == 2 * H.order) >= 2
             findings.append(LemmaFinding(
@@ -186,7 +178,7 @@ def check_lemma(max_order: int = 24) -> VerificationReport:
                 index=index,
                 h_normal=h_normal,
                 quotient_dihedral_m=m,
-                n_eq_p_plus_1=(m is not None and _is_prime(m) and n == m + 1),
+                n_eq_p_plus_1=(m is not None and _prime_power(m) == m and n == m + 1),
                 two_index2_intermediates=two_index2,
                 rotation_simple=rotation_simple,
             ))
@@ -213,141 +205,15 @@ def check_lemma(max_order: int = 24) -> VerificationReport:
     return report
 
 
-# --- exact subgroup enumeration with conjugacy-orbit expansion -------------
-
-def _subgroup_records(G: PermGroup) -> dict[frozenset, tuple[bytes, ...]]:
-    """Every subgroup of G as {element set: generators}.
-
-    Same join-closure fixed point as all_subgroups, but joins are computed for
-    one representative per conjugacy class and the full class is then filled
-    in by conjugating, which keeps the degree-6 symmetric group tractable.
-    """
-    degree = G.degree
-    ident = bytes(range(degree))
-    elems = [p._b for p in G.elements]
-    intern: dict[bytes, bytes] = {}
-    # (table of c, raw inverse of c): conj(y) = c.y.c^-1 = (c.y) composed c^-1
-    conj_pairs = [(_table(g), _inverse(g)) for g in elems]
-    full_key = frozenset(elems)
-    largest_proper = G.order // min(
-        (p for p in range(2, G.order + 1) if G.order % p == 0), default=1)
-
-    def conj_set(eset, tc: bytes, cinv: bytes) -> frozenset:
-        return frozenset(
-            intern.setdefault(x, x)
-            for x in (cinv.translate(_table(y.translate(tc))) for y in eset))
-
-    cyc = _cyclic_subgroup_records(G)
-    units = sorted((gens[0], key) for key, gens in cyc.items()
-                   if _is_prime_power(len(key)))
-
-    subs: dict[frozenset, tuple[bytes, ...]] = {frozenset({ident}): ()}
-    subs[full_key] = tuple(g._b for g in G.generators)
-    reps: deque[tuple[frozenset, tuple[bytes, ...]]] = deque()
-    reps.append((frozenset({ident}), ()))
-
-    def add_class(eset: frozenset, gens: tuple[bytes, ...]) -> None:
-        """Insert eset and its whole conjugacy class; queue eset as the rep."""
-        subs[eset] = gens
-        if eset != full_key:
-            reps.append((eset, gens))
-        for tc, cinv in conj_pairs:
-            conj = conj_set(eset, tc, cinv)
-            if conj not in subs:
-                subs[conj] = tuple(
-                    cinv.translate(_table(g.translate(tc))) for g in gens)
-
-    classified: set[frozenset] = set()
-    for key, gens in cyc.items():
-        if key in classified or key in subs:
-            classified.add(key)
-            continue
-        add_class(key, gens)
-        for tc, cinv in conj_pairs:
-            classified.add(conj_set(key, tc, cinv))
-
-    while reps:
-        eset, gens = reps.popleft()
-        for g, _ceset in units:
-            if g in eset:
-                continue
-            res = mulclose(degree, gens + (g,), seed=eset,
-                           stop_above=largest_proper)
-            key = full_key if res is None else frozenset(
-                intern.setdefault(x, x) for x in res)
-            if key not in subs:
-                add_class(key, gens + (g,))
-    return subs
-
-
-def _orbit_count(degree: int, gens: Sequence[bytes]) -> int:
-    parent = list(range(degree))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in gens:
-        for i in range(degree):
-            ri, rj = find(i), find(g[i])
-            if ri != rj:
-                parent[ri] = rj
-    return sum(1 for i in range(degree) if find(i) == i)
-
-
-def _mn_of_congset(congs: set[tuple[int, ...]], size: int) -> Optional[int]:
-    """n if the congruence set forms M_n (n >= 3)."""
-    n = len(congs) - 2
-    if n < 3:
-        return None
-    bottom = tuple(range(size))
-    top = (0,) * size
-    mids = [r for r in congs if r != bottom and r != top]
-    if len(mids) != n:
-        return None
-    for i, a in enumerate(mids):
-        for b in mids[i + 1:]:
-            if rgs_refines(a, b) or rgs_refines(b, a):
-                return None
-    return n
-
-
-def _conjugacy_class_reps(degree: int) -> list[bytes]:
-    """One permutation per cycle type (integer partition of the degree)."""
-    def int_partitions(n: int, cap: int) -> list[list[int]]:
-        if n == 0:
-            return [[]]
-        out = []
-        for first in range(min(n, cap), 0, -1):
-            for rest in int_partitions(n - first, first):
-                out.append([first] + rest)
-        return out
-
-    reps = []
-    for ptn in int_partitions(degree, degree):
-        img = list(range(degree))
-        pos = 0
-        for length in ptn:
-            cyc = list(range(pos, pos + length))
-            for i, x in enumerate(cyc):
-                img[x] = cyc[(i + 1) % length]
-            pos += length
-        reps.append(bytes(img))
-    return reps
-
-
 def check_theorem1(p: int, max_degree: Optional[int] = None) -> VerificationReport:
     """Sweep transitive subgroups of small symmetric groups and check that
     every one whose natural-action congruence lattice is M_{p+1} is the
     regular dihedral action of order 2p.
 
-    Degrees up to 5 are enumerated exhaustively through all_subgroups; degree
-    6 exhaustively through the conjugacy-expanded enumeration; degree 7 by
-    closing pairs (a, b) with a over conjugacy-class representatives and b
-    over all elements, which assumes 2-generation of the transitive groups of
-    that degree.
+    Degrees up to 6 are enumerated exhaustively: every subgroup of the
+    symmetric group, from perm.subgroup_records.  Degree 7, the only larger
+    degree below 2(p+1) for p in {2, 3}, is prime and is excluded by
+    PRIME_DEGREE_RULE, which the report states.
     """
     if p not in (2, 3):
         raise ValueError(f"unsupported p = {p}; only p in {{2, 3}} is implemented")
@@ -361,78 +227,42 @@ def check_theorem1(p: int, max_degree: Optional[int] = None) -> VerificationRepo
     witnesses = []
     counterexamples = []
     notes = []
-    hit_esets: set[frozenset] = set()
-
-    def record_hit(degree: int, eset: frozenset, gens: Sequence[bytes]) -> None:
-        if eset in hit_esets:
-            return
-        hit_esets.add(eset)
-        K = PermGroup._from_eset(degree, eset, gens)
-        m = is_dihedral(K)
-        entry = {
-            "degree": degree,
-            "order": K.order,
-            "generators": _gen_strings(K),
-            "transitive": K.is_transitive(),
-            "regular": K.is_transitive() and K.order == degree,
-            "dihedral_m": m,
-        }
-        ok = (entry["regular"] and K.order == 2 * p and m == p)
-        (witnesses if ok else counterexamples).append(entry)
-
     for d in range(1, max_degree + 1):
-        stats = {"degree": d, "hits": 0}
-        if d <= 5:
-            stats["mode"] = "all-subgroups exhaustive"
-            subs = all_subgroups(symmetric(d))
-            stats["subgroups"] = len(subs)
-            trans = [K for K in subs if K.is_transitive()]
-            stats["transitive"] = len(trans)
-            for K in trans:
-                congs = _congruence_set(d, [g._b for g in K.generators])
-                if _mn_of_congset(congs, d) == target:
-                    stats["hits"] += 1
-                    record_hit(d, K._eset, [g._b for g in K.generators])
-        elif d == 6:
-            stats["mode"] = "all-subgroups exhaustive (conjugacy-expanded)"
-            recs = _subgroup_records(symmetric(6))
-            stats["subgroups"] = len(recs)
-            n_trans = 0
-            for eset, gens in recs.items():
-                if _orbit_count(6, gens) != 1:
-                    continue
-                n_trans += 1
-                congs = _congruence_set(6, gens)
-                if _mn_of_congset(congs, 6) == target:
-                    stats["hits"] += 1
-                    record_hit(6, eset, gens)
-            stats["transitive"] = n_trans
-        elif d == 7:
-            stats["mode"] = ("2-generator sweep: assumes every transitive "
-                             "group of degree 7 is generated by 2 elements")
-            notes.append("degree 7 swept in 2-generator mode (conjugacy-reduced"
-                         " first generator); exhaustive only under the"
-                         " 2-generation assumption")
-            elems = sorted(mulclose(7, [bytes([1, 0, 2, 3, 4, 5, 6]),
-                                        bytes([1, 2, 3, 4, 5, 6, 0])]))
-            reps = _conjugacy_class_reps(7)
-            stats["class_reps"] = len(reps)
-            stats["pairs"] = len(reps) * len(elems)
-            n_trans = 0
-            for a in reps:
-                for b in elems:
-                    if _orbit_count(7, (a, b)) != 1:
-                        continue
-                    n_trans += 1
-                    congs = _congruence_set(7, (a, b))
-                    if _mn_of_congset(congs, 7) == target:
-                        eset = frozenset(mulclose(7, (a, b)))
-                        if eset not in hit_esets:
-                            stats["hits"] += 1
-                        record_hit(7, eset, (a, b))
-            stats["transitive_pairs"] = n_trans
-        else:
-            raise ValueError(f"degree {d} not supported")
+        if d > THEOREM1_ENUM_DEGREE:
+            if _prime_power(d) != d:
+                raise ValueError(f"degree {d} is neither enumerated nor prime")
+            per_degree.append({"degree": d, "hits": 0,
+                               "mode": "excluded by the prime-degree rule"})
+            notes.append(f"degree {d} excluded by the {PRIME_DEGREE_RULE}")
+            continue
+        bottom, top = tuple(range(d)), (0,) * d
+        # uncached: the records of S6 are not kept past this loop
+        recs = subgroup_records(symmetric(d))
+        stats = {"degree": d, "mode": "all-subgroups exhaustive",
+                 "subgroups": len(recs), "transitive": 0}
+        hits = []
+        for eset, gens in recs.items():
+            if len(_orbits(d, gens)) != 1:
+                continue
+            stats["transitive"] += 1
+            congs = _congruence_set(d, gens)
+            mids = [r for r in congs if r != bottom and r != top]
+            if _mn_of(mids, rgs_refines) == target:
+                hits.append(PermGroup._from_eset(d, eset, _small_genset(d, eset)))
+        stats["hits"] = len(hits)
+        # generators and order depend on the element sets alone
+        for K in sorted(hits, key=PermGroup.key):
+            m = is_dihedral(K)
+            entry = {
+                "degree": d,
+                "order": K.order,
+                "generators": _gen_strings(K),
+                "transitive": True,
+                "regular": K.order == d,
+                "dihedral_m": m,
+            }
+            ok = entry["regular"] and K.order == 2 * p and m == p
+            (witnesses if ok else counterexamples).append(entry)
         per_degree.append(stats)
 
     total_hits = len(witnesses) + len(counterexamples)
@@ -569,7 +399,7 @@ def minimal_representation(p: int) -> tuple[UnaryAlgebra, FinLattice]:
     """The size-2p unary algebra whose congruence lattice is M_{p+1}: the
     regular action of the order-2p dihedral group, one operation for the
     rotation generator and one for the reflection generator."""
-    if not _is_prime(p):
+    if _prime_power(p) != p:
         raise ValueError(f"p must be prime, got {p}")
     A = gset_algebra(regular_action(dihedral(p)), name=f"regular-D{2 * p}-set")
     L = all_congruences(A)

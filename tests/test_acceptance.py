@@ -108,7 +108,8 @@ def test_criterion_4_theorem1_p2():
 
 
 def test_criterion_5_theorem1_p3_slow_tier():
-    with criterion(5, 900.0, "theorem1 p=3: degree-6 exhaustive + degree-7 pairs"):
+    with criterion(5, 900.0, "theorem1 p=3: degree-6 exhaustive + degree-7"
+                             " prime-degree rule"):
         report = check_theorem1(3)
         assert report.status == "PASS"
         assert report.counterexamples == []
@@ -117,8 +118,12 @@ def test_criterion_5_theorem1_p3_slow_tier():
             assert w["order"] == 6 and w["regular"] and w["dihedral_m"] == 3
         by_degree = {f["degree"]: f for f in report.findings}
         assert "exhaustive" in by_degree[6]["mode"]
-        assert "2-generator" in by_degree[7]["mode"]
-        assert any("2-generation assumption" in note for note in report.notes)
+        assert by_degree[6]["subgroups"] == 1455
+        assert "prime-degree rule" in by_degree[7]["mode"]
+        assert by_degree[7]["hits"] == 0
+        assert any("degree 7 excluded by the prime-degree rule" in note
+                   for note in report.notes)
+        assert not any("assum" in note.lower() for note in report.notes)
 
 
 def test_criterion_6_theorem2_p3():

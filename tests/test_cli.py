@@ -140,14 +140,6 @@ class TestVerify:
                           "--max-size", "4"], capsys)
         assert rc == 2 and "p = 3" in err
 
-    def test_threads_validated(self, capsys):
-        rc, _, err = run(["verify", "lemma", "--max-order", "4",
-                          "--threads", "0"], capsys)
-        assert rc == 2 and "threads" in err
-        rc, _, _ = run(["verify", "lemma", "--max-order", "4",
-                        "--threads", "2"], capsys)
-        assert rc == 0
-
     def test_identical_argv_identical_report_modulo_timing(self, tmp_path, capsys):
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
         run(["verify", "lemma", "--max-order", "8", "--out", str(r1)], capsys)

@@ -4,11 +4,12 @@ import json
 
 import pytest
 
-from mnlab import (all_congruences, all_subgroups, check_lemma, check_theorem1,
-                   check_theorem2, congruences_oracle, minimal_representation,
-                   symmetric)
-from mnlab.verify import (_atom_system_candidates, _conjugacy_class_reps,
-                          _mn_of_congset, _orbit_count, _subgroup_records)
+from mnlab import (UnaryAlgebra, all_congruences, all_subgroups, check_lemma,
+                   check_theorem1, check_theorem2, congruences_oracle,
+                   gset_algebra, minimal_representation, symmetric)
+from mnlab.partition import rgs_refines
+from mnlab.perm import _orbits, subgroup_records
+from mnlab.verify import _atom_system_candidates, _mn_of
 
 from oracles import maximal_descent_closure, subgroups_bounded_gen
 
@@ -16,15 +17,16 @@ from oracles import maximal_descent_closure, subgroups_bounded_gen
 class TestEnumeration:
     @pytest.mark.parametrize("d,count", [(2, 2), (3, 6), (4, 30)])
     def test_conjugacy_expanded_matches_plain(self, d, count):
-        plain = {K._eset for K in all_subgroups(symmetric(d))}
-        fast = set(_subgroup_records(symmetric(d)))
-        assert plain == fast
-        assert len(plain) == count
+        """The conjugacy-expanded enumerator against the plain closure of
+        up to three cyclic subgroups."""
+        subs = all_subgroups(symmetric(d))
+        assert subs == subgroups_bounded_gen(symmetric(d))
+        assert len(subs) == count
 
-    def test_s5_both_routes_give_156(self):
-        plain = {K._eset for K in all_subgroups(symmetric(5))}
-        fast = set(_subgroup_records(symmetric(5)))
-        assert plain == fast and len(plain) == 156
+    @pytest.mark.parametrize("d,count", [(5, 156), (6, 1455)])
+    def test_published_subgroup_counts(self, d, count):
+        """Subgroup counts of S5 and S6 from OEIS A005432."""
+        assert len(subgroup_records(symmetric(d))) == count
 
     def test_bounded_gen_oracle_spot_checks(self):
         from mnlab import cyclic, dihedral, quaternion, alternating
@@ -36,23 +38,21 @@ class TestEnumeration:
         subs = all_subgroups(dihedral(6))
         assert maximal_descent_closure(subs) == {K._eset for K in subs}
 
-    def test_class_reps_are_cycle_types(self):
-        reps = _conjugacy_class_reps(7)
-        assert len(reps) == 15  # integer partitions of 7
-        reps5 = _conjugacy_class_reps(5)
-        assert len(reps5) == 7
-
     def test_orbit_count(self):
-        assert _orbit_count(4, (bytes((1, 0, 3, 2)),)) == 2
-        assert _orbit_count(4, (bytes((1, 2, 3, 0)),)) == 1
-        assert _orbit_count(3, ()) == 3
+        assert len(_orbits(4, (bytes((1, 0, 3, 2)),))) == 2
+        assert len(_orbits(4, (bytes((1, 2, 3, 0)),))) == 1
+        assert len(_orbits(3, ())) == 3
 
     def test_mn_of_congset(self):
-        from mnlab import gset_algebra, regular_action, klein
+        from mnlab import regular_action, klein
         from mnlab.congruence import _congruence_set
         A = gset_algebra(regular_action(klein()))
-        assert _mn_of_congset(_congruence_set(4, A.ops), 4) == 3
-        assert _mn_of_congset({(0, 1, 2), (0, 0, 0)}, 3) is None
+        bottom, top = (0, 1, 2, 3), (0, 0, 0, 0)
+        mids = [r for r in _congruence_set(4, A.ops) if r not in (bottom, top)]
+        assert _mn_of(mids, rgs_refines) == 3
+        assert _mn_of([], rgs_refines) is None
+        # (0, 0, 1, 2) refines the other two: not M_3
+        assert _mn_of([(0, 0, 1, 2), (0, 0, 0, 1), (0, 0, 1, 1)], rgs_refines) is None
 
 
 class TestLemmaSweep:
@@ -101,6 +101,20 @@ class TestTheorem1:
     def test_max_degree_validation(self):
         with pytest.raises(ValueError):
             check_theorem1(2, max_degree=6)
+
+    @pytest.mark.parametrize("d,transitive", [(2, 1), (3, 2), (5, 20)])
+    def test_prime_degree_rule(self, d, transitive):
+        """The rule that excludes degree 7, checked by enumeration at the
+        smaller primes: every transitive subgroup of S_d has exactly two
+        congruences, by the brute-force partition filter over all of K's
+        elements."""
+        found = 0
+        for K in all_subgroups(symmetric(d)):
+            if {g(0) for g in K} == set(range(d)):
+                found += 1
+                A = UnaryAlgebra(d, tuple(g.images for g in K))
+                assert congruences_oracle(A).n == 2
+        assert found == transitive
 
 
 class TestTheorem2:
