@@ -214,5 +214,4 @@ def galois_is_closed(size: int, parts: Sequence[Partition]) -> bool:
     """True iff the closure is exactly {bottom} | parts | {top}."""
     want = {tuple(range(size)), (0,) * size}
     want.update(p.rgs for p in parts)
-    got = {p.rgs for p in lattice_partitions(galois_closure(size, parts))}
-    return got == want
+    return _congruence_set(size, preserving_maps(size, parts)) == want

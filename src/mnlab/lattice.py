@@ -16,6 +16,19 @@ import numpy as np
 ISO_SIZE_BOUND = 24
 
 
+def _mn_of(mids: Sequence, leq: Callable[[object, object], bool]) -> Optional[int]:
+    """n = len(mids) if the middle elements of a bounded order make it M_n:
+    at least 3 of them, pairwise incomparable under ``leq``.  None otherwise."""
+    n = len(mids)
+    if n < 3:
+        return None
+    for i, a in enumerate(mids):
+        for b in mids[i + 1:]:
+            if leq(a, b) or leq(b, a):
+                return None
+    return n
+
+
 class NotALatticeError(ValueError):
     """The given order is not a lattice; carries one offending pair."""
 
@@ -139,15 +152,10 @@ class FinLattice:
         return f"FinLattice(n={self.n}, height={self.height})"
 
     def detect_mn(self) -> Optional[int]:
-        """n if this lattice is M_n (n >= 3): height 2 with every element
-        besides bottom and top both an atom and a coatom."""
-        n = self.n - 2
-        if n < 3 or self.height != 2:
-            return None
-        mids = set(range(self.n)) - {self.bottom, self.top}
-        if mids == set(self.atoms()) == set(self.coatoms()):
-            return n
-        return None
+        """n if this lattice is M_n (n >= 3): every element besides bottom
+        and top is incomparable to every other."""
+        mids = [i for i in range(self.n) if i != self.bottom and i != self.top]
+        return _mn_of(mids, lambda i, j: self.leq[i, j])
 
     def is_chain(self) -> bool:
         return bool((self.leq | self.leq.T).all())

@@ -3,11 +3,23 @@
 The RGS of a partition assigns each element its block index, blocks numbered
 by first appearance (so rgs[0] = 0 and rgs[i] <= 1 + max of the prefix).
 This canonical form is the sole equality key and serialization.
+
+For carriers of up to INDEX_SIZE_BOUND points, ``partition_index(n)`` interns
+every partition of an n-set by its position in ``all_rgs(n)`` order, so the
+top (all zeros) is id 0 and the bottom (all singletons) is the last id.  The
+index holds each partition's pair relation as a bitmask, one bit per pair
+x < y, so meet is ``&`` (disjoint relations meet at the bottom) and
+refinement is a subset test, and a Bell(n)-by-Bell(n) join table of ids.  It
+is built on first use for each n and kept for the life of the process.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
+
+INDEX_SIZE_BOUND = 7
 
 
 def rgs_canonical(labels: Sequence[int]) -> tuple[int, ...]:
@@ -104,6 +116,48 @@ def bell_number(n: int) -> int:
             nxt.append(nxt[-1] + x)
         row = nxt
     return row[0]
+
+
+def _pair_relation(rgs: Sequence[int]) -> int:
+    """Bit t set iff the t-th pair x < y (in lexicographic order) is related."""
+    bits = 0
+    t = 0
+    for x, bx in enumerate(rgs):
+        for by in rgs[x + 1:]:
+            if bx == by:
+                bits |= 1 << t
+            t += 1
+    return bits
+
+
+@dataclass(frozen=True)
+class PartitionIndex:
+    """Every partition of an n-set, interned by its all_rgs(n) position."""
+
+    parts: tuple[tuple[int, ...], ...]   # id -> RGS
+    rel: tuple[int, ...]                 # id -> pair-relation bitmask
+    join: tuple[tuple[int, ...], ...]    # join[i][j] = id of the join
+
+    top = 0  # all_rgs(n) starts with the all-zero RGS
+
+    @property
+    def bottom(self) -> int:
+        return len(self.parts) - 1
+
+
+@lru_cache(maxsize=None)
+def partition_index(n: int) -> PartitionIndex:
+    """The interned partitions of an n-set, built on first use."""
+    if not 0 <= n <= INDEX_SIZE_BOUND:
+        raise ValueError(f"carrier size {n} outside 0..{INDEX_SIZE_BOUND}")
+    parts = tuple(all_rgs(n))
+    ids = {r: i for i, r in enumerate(parts)}
+    rel = tuple(_pair_relation(r) for r in parts)
+    join = [[i] * len(parts) for i in range(len(parts))]
+    for i, a in enumerate(parts):
+        for j in range(i + 1, len(parts)):
+            join[i][j] = join[j][i] = ids[rgs_join(a, parts[j])]
+    return PartitionIndex(parts, rel, tuple(map(tuple, join)))
 
 
 class Partition:

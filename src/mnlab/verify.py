@@ -11,17 +11,16 @@ excludes degree 7 by the prime-degree rule, which its report states.
 from __future__ import annotations
 
 import hashlib
-import itertools
 import json
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional
 
 from .congruence import (UnaryAlgebra, _congruence_set, _principal_rgs,
                          all_congruences, gset_algebra, preserving_maps)
 from .construct import catalog, dihedral, regular_action, symmetric
-from .lattice import FinLattice
-from .partition import Partition, all_rgs, rgs_join, rgs_meet, rgs_refines
+from .lattice import FinLattice, _mn_of
+from .partition import Partition, partition_index, rgs_refines
 from .perm import (PermGroup, _orbits, _order_of, _prime_power, _small_genset,
                    all_subgroups, is_dihedral, is_normal, is_simple, mulclose,
                    quotient, subgroup_records)
@@ -117,19 +116,6 @@ class VerificationReport:
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), indent=2, sort_keys=True)
-
-
-def _mn_of(mids: Sequence, leq: Callable[[object, object], bool]) -> Optional[int]:
-    """n = len(mids) if the middle elements of a bounded order make it M_n:
-    at least 3 of them, pairwise incomparable under ``leq``.  None otherwise."""
-    n = len(mids)
-    if n < 3:
-        return None
-    for i, a in enumerate(mids):
-        for b in mids[i + 1:]:
-            if leq(a, b) or leq(b, a):
-                return None
-    return n
 
 
 def check_lemma(max_order: int = 24) -> VerificationReport:
@@ -282,49 +268,54 @@ def check_theorem1(p: int, max_degree: Optional[int] = None) -> VerificationRepo
     )
 
 
+class _PairwiseTopSystem(tuple):
+    """An atom system, a tuple of RGS, whose pairwise joins are all the top."""
+
+    __slots__ = ()
+
+
 def _atom_system_candidates(size: int, k: int):
     """All k-sets of proper partitions with pairwise meet bottom and joint
-    join top, yielded as tuples of RGS.  Pairwise pruning via bitmask cliques.
+    join top, yielded in lexicographic order as tuples of RGS.  The systems
+    whose pairwise joins are all the top are yielded as _PairwiseTopSystem.
+
+    A clique search on interned partition ids: one edge mask marks pairs whose
+    meet is bottom (disjoint pair relations), a second marks pairs whose join
+    is top, and the running joint join is a join-table lookup.
     """
-    bottom = tuple(range(size))
-    top = (0,) * size
-    parts = [r for r in all_rgs(size) if r != bottom and r != top]
-    N = len(parts)
-    adj = [0] * N
-    for i in range(N):
-        for j in range(i + 1, N):
-            if rgs_meet(parts[i], parts[j]) == bottom:
-                adj[i] |= 1 << j
-                adj[j] |= 1 << i
+    ix = partition_index(size)
+    parts, rel, join, top = ix.parts, ix.rel, ix.join, ix.top
+    proper = range(1, ix.bottom)
+    # tops[i]: every j with join(i, j) top; later[i]: proper j > i whose
+    # meet with i is bottom
+    tops = [sum(1 << j for j, x in enumerate(row) if x == top) for row in join]
+    later = [0] * len(parts)
+    for i in proper:
+        later[i] = sum(1 << j for j in proper if j > i and not rel[i] & rel[j])
 
-    def above(mask: int, i: int) -> int:
-        return mask & ~((1 << (i + 1)) - 1)
-
-    def bits(mask: int):
-        while mask:
-            low = mask & -mask
-            yield low.bit_length() - 1
-            mask ^= low
-
-    # k-cliques in the meet-compatibility graph, then the joint-join filter
-    def cliques(start_mask: int, chosen: list[int], depth: int):
-        if depth == k:
-            yield tuple(chosen)
+    def prefixes(cand: int, joined: int, ptop: int, chosen: tuple, depth: int):
+        # (k-1)-cliques with the state to finish them: cand holds the proper
+        # ids above the last chosen, meet-disjoint from all chosen; ptop the
+        # ids pairwise-top with all chosen, 0 once a chosen pair is not
+        if depth == k - 1:
+            yield cand, joined, ptop, chosen
             return
-        for i in bits(start_mask):
-            chosen.append(i)
-            yield from cliques(above(start_mask & adj[i], i), chosen, depth + 1)
-            chosen.pop()
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
+            yield from prefixes(cand & later[i], join[joined][i],
+                                ptop & tops[i] if ptop & low else 0,
+                                (*chosen, parts[i]), depth + 1)
 
-    full = (1 << N) - 1
-    for combo in cliques(full, [], 0):
-        joined = parts[combo[0]]
-        for i in combo[1:]:
-            joined = rgs_join(joined, parts[i])
-            if joined == top:
-                break
-        if joined == top:
-            yield tuple(parts[i] for i in combo)
+    full = sum(1 << i for i in proper)
+    for cand, joined, ptop, chosen in prefixes(full, ix.bottom, full, (), 0):
+        cand &= tops[joined]
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            system = (*chosen, parts[low.bit_length() - 1])
+            yield _PairwiseTopSystem(system) if ptop & low else system
 
 
 def _atom_system_closed(size: int, combo: tuple[tuple[int, ...], ...]) -> bool:
@@ -359,7 +350,6 @@ def check_theorem2(p: int, max_size: int) -> VerificationReport:
     witnesses = []
     ok = True
     for s in range(2, max_size + 1):
-        top = (0,) * s
         n_candidates = 0
         closed = []
         for combo in _atom_system_candidates(s, k):
@@ -367,10 +357,8 @@ def check_theorem2(p: int, max_size: int) -> VerificationReport:
             # a closed system needs every *pairwise* join at the top already:
             # the closure contains pairwise joins, and a join of two distinct
             # atoms can be neither bottom nor a third atom
-            if any(rgs_join(a, b) != top
-                   for a, b in itertools.combinations(combo, 2)):
-                continue
-            if _atom_system_closed(s, combo):
+            if (isinstance(combo, _PairwiseTopSystem)
+                    and _atom_system_closed(s, combo)):
                 closed.append([list(r) for r in combo])
         per_size.append({
             "size": s,

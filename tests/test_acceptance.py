@@ -134,6 +134,7 @@ def test_criterion_6_theorem2_p3():
         assert by_size[4]["closed_systems"] == 0
         assert by_size[5]["closed_systems"] == 0
         assert by_size[6]["closed_systems"] >= 1
+        assert by_size[6]["candidate_systems"] == 718785
         # every reported closed system re-closes to itself
         from mnlab.congruence import lattice_partitions
         for w in report.witnesses:

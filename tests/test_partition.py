@@ -7,6 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mnlab import Partition, all_partitions, bell_number
+from mnlab.partition import (all_rgs, partition_index, rgs_join, rgs_meet,
+                             rgs_refines)
 
 labelings = st.integers(1, 7).flatmap(
     lambda n: st.lists(st.integers(0, 4), min_size=n, max_size=n))
@@ -101,3 +103,35 @@ class TestLatticeOps:
             m, j = a & b, a | b
             assert m.refines(a) and m.refines(b)
             assert a.refines(j) and b.refines(j)
+
+
+class TestPartitionIndex:
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5])
+    def test_ids_follow_all_rgs(self, n):
+        ix = partition_index(n)
+        assert ix.parts == tuple(all_rgs(n))
+        assert ix.parts[ix.top] == (0,) * n
+        assert ix.parts[ix.bottom] == tuple(range(n))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_join_table_matches_rgs_join(self, n):
+        ix = partition_index(n)
+        for (i, a), (j, b) in itertools.product(enumerate(ix.parts), repeat=2):
+            assert ix.parts[ix.join[i][j]] == rgs_join(a, b)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_disjoint_relations_meet_at_bottom(self, n):
+        ix = partition_index(n)
+        bottom = tuple(range(n))
+        for (i, a), (j, b) in itertools.product(enumerate(ix.parts), repeat=2):
+            assert (ix.rel[i] & ix.rel[j] == 0) == (rgs_meet(a, b) == bottom)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_relation_subset_is_refinement(self, n):
+        ix = partition_index(n)
+        for (i, a), (j, b) in itertools.product(enumerate(ix.parts), repeat=2):
+            assert (ix.rel[i] & ~ix.rel[j] == 0) == rgs_refines(a, b)
+
+    def test_size_bound(self):
+        with pytest.raises(ValueError, match="outside"):
+            partition_index(8)

@@ -1,15 +1,18 @@
 """Verification sweeps and their supporting enumeration machinery."""
 
+import itertools
 import json
 
 import pytest
 
 from mnlab import (UnaryAlgebra, all_congruences, all_subgroups, check_lemma,
                    check_theorem1, check_theorem2, congruences_oracle,
-                   gset_algebra, minimal_representation, symmetric)
-from mnlab.partition import rgs_refines
+                   gset_algebra, is_dihedral, minimal_representation,
+                   symmetric)
+from mnlab.congruence import lattice_partitions
+from mnlab.partition import all_rgs, rgs_refines
 from mnlab.perm import _orbits, subgroup_records
-from mnlab.verify import _atom_system_candidates, _mn_of
+from mnlab.verify import _PairwiseTopSystem, _atom_system_candidates, _mn_of
 
 from oracles import maximal_descent_closure, subgroups_bounded_gen
 
@@ -144,6 +147,53 @@ class TestTheorem2:
             for r in combo[1:]:
                 joined = rgs_join(joined, r)
             assert joined == (0,) * 5
+
+    def test_size5_candidates_by_plain_combinations(self):
+        """Every 4-set of the 50 proper partitions of a 5-set, filtered by a
+        precomputed rgs_meet matrix and a joint rgs_join: the same systems
+        in the same order, and the same 70 with every pairwise join top."""
+        from mnlab.partition import rgs_meet, rgs_join
+        bottom, top = tuple(range(5)), (0,) * 5
+        parts = [r for r in all_rgs(5) if r != bottom and r != top]
+        assert len(parts) == 50
+        disjoint = [[rgs_meet(a, b) == bottom for b in parts] for a in parts]
+        want = []
+        for ids in itertools.combinations(range(50), 4):
+            if not all(disjoint[i][j] for i, j in itertools.combinations(ids, 2)):
+                continue
+            system = tuple(parts[i] for i in ids)
+            joined = system[0]
+            for r in system[1:]:
+                joined = rgs_join(joined, r)
+            if joined == top:
+                want.append((system, all(
+                    rgs_join(a, b) == top
+                    for a, b in itertools.combinations(system, 2))))
+        assert len(want) == 4850
+        assert sum(flag for _, flag in want) == 70
+        got = list(_atom_system_candidates(5, 4))
+        assert got == [system for system, _ in want]
+        assert [isinstance(c, _PairwiseTopSystem) for c in got] == [
+            flag for _, flag in want]
+
+    def test_closed_systems_are_the_regular_dihedral_congruences(self):
+        """The 20 closed size-6 systems are exactly the atom sets of
+        Con(K) over the 20 regular subgroups K of S6 that are dihedral of
+        order 6."""
+        regular = [K for K in all_subgroups(symmetric(6))
+                   if K.order == 6 and {g(0) for g in K} == set(range(6))
+                   and is_dihedral(K) == 3]
+        assert len(regular) == 20
+        want = set()
+        for K in regular:
+            L = all_congruences(gset_algebra(K))
+            parts = lattice_partitions(L)
+            want.add(frozenset(parts[a].rgs for a in L.atoms()))
+        assert len(want) == 20
+        report = check_theorem2(3, max_size=6)
+        got = [frozenset(map(tuple, w["system"])) for w in report.witnesses
+               if w["size"] == 6]
+        assert len(got) == 20 and set(got) == want
 
 
 class TestMinimalRepresentation:
