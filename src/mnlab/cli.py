@@ -18,7 +18,7 @@ from .congruence import (ORACLE_SIZE_BOUND, all_congruences, congruences_oracle,
                          lattice_partitions)
 from .construct import GroupSpec, regular_action
 from .io import FormatError, load_algebra, load_group, save_algebra, save_group
-from .perm import interval as subgroup_interval
+from .perm import DEFAULT_ORDER_BOUND, MAX_DEGREE, interval as subgroup_interval
 from .verify import (check_lemma, check_theorem1, check_theorem2,
                      minimal_representation)
 
@@ -59,6 +59,11 @@ def _cmd_group(args) -> int:
                          factors=(_parse_factor(args.left), _parse_factor(args.right)))
     else:
         raise UsageError(f"unknown kind {args.kind!r}")
+    order = spec.expected_order()
+    if order > DEFAULT_ORDER_BOUND:
+        raise UsageError(f"group order {order} exceeds bound {DEFAULT_ORDER_BOUND}")
+    if args.regular and order > MAX_DEGREE:
+        raise UsageError(f"regular action degree {order} exceeds bound {MAX_DEGREE}")
     try:
         G = spec.build()
     except ValueError as exc:

@@ -5,7 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .perm import (DEFAULT_ORDER_BOUND, Perm, PermGroup, _compose,
+from .perm import (DEFAULT_ORDER_BOUND, MAX_DEGREE, Perm, PermGroup, _compose,
                    _require_subgroup, _small_genset, group_closure)
 
 
@@ -136,6 +136,11 @@ class GroupSpec:
     kind: str
     n: Optional[int] = None
     factors: tuple["GroupSpec", ...] = field(default=())
+
+    def __post_init__(self):
+        # n is a natural degree, so this also keeps n! cheap to compute
+        if self.n is not None and not 1 <= self.n <= MAX_DEGREE:
+            raise ValueError(f"parameter {self.n} must lie in 1..{MAX_DEGREE}")
 
     def expected_order(self) -> int:
         if self.kind == "cyclic":

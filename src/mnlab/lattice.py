@@ -2,8 +2,9 @@
 
 A lattice is held as a boolean leq matrix over elements 0..n-1 (leq[i, j]
 means i <= j), with optional string labels.  Construction verifies that the
-order really is a lattice: unique bottom and top and a unique meet and join
-for every pair.
+order really is a lattice: a partial order with unique bottom and top in
+which every pair has a join.  Meets follow, so they are not checked: the meet
+of a pair is the join of its common lower bounds, the bottom among them.
 """
 
 from __future__ import annotations
@@ -68,15 +69,17 @@ class FinLattice:
             raise NotALatticeError("bottom element is not unique")
         if leq.all(axis=0).sum() != 1:
             raise NotALatticeError("top element is not unique")
-        # every pair needs a unique greatest lower / least upper bound
+        # every pair needs a join; columns follow a linear extension, so the
+        # lowest common upper bound is the only candidate, and it is the join
+        # iff its up-set is the pair's whole common up-set
+        order = np.argsort(leq.sum(axis=0), kind="stable")  # by down-set size
+        rows = np.packbits(leq[:, order], axis=1, bitorder="little")
+        up = [int.from_bytes(row.tobytes(), "little") for row in rows]
+        up_at = [up[k] for k in order]
         for i in range(n):
             for j in range(i + 1, n):
-                lows = leq[:, i] & leq[:, j]
-                if not (lows & leq[lows].all(axis=0)).any():
-                    raise NotALatticeError(
-                        f"elements {i} and {j} have no meet", (i, j))
-                ups = leq[i, :] & leq[j, :]
-                if not (ups & leq[:, ups].all(axis=1)).any():
+                common = up[i] & up[j]
+                if up_at[(common & -common).bit_length() - 1] != common:
                     raise NotALatticeError(
                         f"elements {i} and {j} have no join", (i, j))
 

@@ -16,7 +16,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
 
-_PAD = bytes(range(256))
+MAX_DEGREE = 256  # points the bytes encoding can hold
+_PAD = bytes(range(MAX_DEGREE))
 
 DEFAULT_ORDER_BOUND = 5040
 
@@ -88,6 +89,8 @@ class Perm:
 
     def __init__(self, images: Iterable[int]):
         images = tuple(images)
+        if len(images) > MAX_DEGREE:
+            raise ValueError(f"degree {len(images)} exceeds bound {MAX_DEGREE}")
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a bijection on 0..{len(images) - 1}: {images!r}")
         self.images = images

@@ -16,8 +16,8 @@ import time
 from dataclasses import dataclass, field
 from typing import Optional
 
-from .congruence import (UnaryAlgebra, _congruence_set, _principal_rgs,
-                         all_congruences, gset_algebra, preserving_maps)
+from .congruence import (UnaryAlgebra, _congruence_set, all_congruences,
+                         galois_is_closed, gset_algebra)
 from .construct import catalog, dihedral, regular_action, symmetric
 from .lattice import FinLattice, _mn_of
 from .partition import Partition, partition_index, rgs_refines
@@ -125,6 +125,8 @@ def check_lemma(max_order: int = 24) -> VerificationReport:
     subgroups have index 2, and the quotient's rotation subgroup is simple."""
     if max_order > LEMMA_ORDER_BOUND:
         raise ValueError(f"max_order {max_order} exceeds bound {LEMMA_ORDER_BOUND}")
+    if max_order < 1:
+        raise ValueError(f"max_order must be at least 1, got {max_order}")
     t0 = time.perf_counter()
     findings: list[LemmaFinding] = []
     n_groups = n_intervals = n_mn = n_skipped = 0
@@ -318,23 +320,6 @@ def _atom_system_candidates(size: int, k: int):
             yield _PairwiseTopSystem(system) if ptop & low else system
 
 
-def _atom_system_closed(size: int, combo: tuple[tuple[int, ...], ...]) -> bool:
-    """Closedness of an atom system whose pairwise joins all sit at the top.
-
-    The candidate family {bottom} | combo | {top} is then join- and
-    meet-closed, and the Galois closure is the join closure of the principal
-    congruences of the preserving-maps algebra, so the closure adds nothing
-    exactly when every principal lands inside the candidate family.
-    """
-    want = {tuple(range(size)), (0,) * size, *combo}
-    maps = preserving_maps(size, [Partition(r) for r in combo])
-    for a in range(size):
-        for b in range(a + 1, size):
-            if _principal_rgs(size, maps, a, b) not in want:
-                return False
-    return True
-
-
 def check_theorem2(p: int, max_size: int) -> VerificationReport:
     """Exhaust candidate M_{p+1} atom systems on small carriers and count the
     Galois-closed ones: none may exist below carrier size 2p, and the regular
@@ -358,7 +343,7 @@ def check_theorem2(p: int, max_size: int) -> VerificationReport:
             # the closure contains pairwise joins, and a join of two distinct
             # atoms can be neither bottom nor a third atom
             if (isinstance(combo, _PairwiseTopSystem)
-                    and _atom_system_closed(s, combo)):
+                    and galois_is_closed(s, [Partition(r) for r in combo])):
                 closed.append([list(r) for r in combo])
         per_size.append({
             "size": s,

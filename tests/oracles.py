@@ -6,6 +6,10 @@ proper subgroup has order <= 12, and every group of order <= 12 is generated
 by at most three elements (the extreme case is the rank-3 elementary abelian
 2-group of order 8).  The full group is seeded explicitly since it may need
 more generators.
+
+``is_lattice`` is the all-pairs reference check of a finite order: unique
+bottom and top, and a greatest lower and a least upper bound for every pair,
+each found by numpy masks over the whole order.
 """
 
 import itertools
@@ -60,3 +64,22 @@ def maximal_descent_closure(subgroup_list):
                 reached.add(M._eset)
                 work.append(by_key[M._eset])
     return reached
+
+
+def pair_has_meet(leq, i, j):
+    lows = leq[:, i] & leq[:, j]
+    return bool((lows & leq[lows].all(axis=0)).any())
+
+
+def pair_has_join(leq, i, j):
+    ups = leq[i, :] & leq[j, :]
+    return bool((ups & leq[:, ups].all(axis=1)).any())
+
+
+def is_lattice(leq):
+    """True iff the partial order ``leq`` (a boolean matrix) is a lattice."""
+    n = leq.shape[0]
+    if n == 0 or leq.all(axis=1).sum() != 1 or leq.all(axis=0).sum() != 1:
+        return False
+    return all(pair_has_meet(leq, i, j) and pair_has_join(leq, i, j)
+               for i in range(n) for j in range(i + 1, n))

@@ -39,6 +39,20 @@ class TestGroupMake:
         rc, _, err = run(["group", "make", "--kind", "dihedral"], capsys)
         assert rc == 2 and "--m" in err
 
+    def test_order_bound_is_usage_error(self, capsys):
+        # S8 has 40,320 elements: above the bound, yet small enough to build
+        rc, stdout, err = run(["group", "make", "--kind", "symmetric",
+                               "--n", "8"], capsys)
+        assert rc == 2 and stdout == "" and "5040" in err
+
+    def test_degree_bound_is_usage_error(self, capsys):
+        # the product acts on 250 + 10 points, each factor within the bound
+        for argv in (["--kind", "dihedral", "--m", "200", "--regular"],
+                     ["--kind", "product", "--left", "cyclic:250",
+                      "--right", "cyclic:10"]):
+            rc, stdout, err = run(["group", "make", *argv], capsys)
+            assert rc == 2 and stdout == "" and "256" in err
+
     def test_unknown_flag_is_an_error(self, capsys):
         rc, _, _ = run(["group", "make", "--kind", "dihedral", "--m", "3",
                         "--frobnicate"], capsys)
@@ -123,6 +137,10 @@ class TestVerify:
         # no M_n intervals at all, so no hypothesis hits and no failures
         assert data["counts"]["hypothesis_hits"] == 0
         assert data["counterexamples"] == []
+
+    def test_lemma_nonpositive_order_is_usage_error(self, capsys):
+        rc, stdout, err = run(["verify", "lemma", "--max-order", "-3"], capsys)
+        assert rc == 2 and stdout == "" and "at least 1" in err
 
     def test_theorem1_p3_requires_slow(self, capsys):
         rc, _, err = run(["verify", "theorem1", "--p", "3"], capsys)

@@ -195,16 +195,26 @@ class TestGaloisClosure:
         assert L == all_congruences(KLEIN_REGULAR)
 
     def test_four_atom_system_on_small_carrier_never_closed(self):
-        from mnlab.verify import _atom_system_candidates
-        for size in (4, 5):
-            combos = list(_atom_system_candidates(size, 4))
-            assert combos
-            for combo in combos[:5]:
-                parts = [Partition(r) for r in combo]
-                closure = {p.rgs for p in lattice_partitions(
-                    galois_closure(size, parts))}
-                assert set(combo) < closure  # grows strictly
-                assert not galois_is_closed(size, parts)
+        # every size-4 candidate, every pairwise-top size-5 one and a seeded
+        # sample of the other size-5 ones: the early-exit check agrees with
+        # the full closure
+        from mnlab.verify import _PairwiseTopSystem, _atom_system_candidates
+        size5 = list(_atom_system_candidates(5, 4))
+        top5 = [c for c in size5 if isinstance(c, _PairwiseTopSystem)]
+        rest5 = [c for c in size5 if not isinstance(c, _PairwiseTopSystem)]
+        size4 = list(_atom_system_candidates(4, 4))
+        assert (len(size4), len(top5), len(rest5)) == (34, 70, 4780)
+        sample = ([(4, c) for c in size4] + [(5, c) for c in top5]
+                  + [(5, c) for c in random.Random(4).sample(rest5, 100)])
+        for size, combo in sample:
+            parts = [Partition(r) for r in combo]
+            closure = {p.rgs for p in lattice_partitions(
+                galois_closure(size, parts))}
+            assert set(combo) < closure  # grows strictly
+            want = {tuple(range(size)), (0,) * size, *combo}
+            closed = galois_is_closed(size, parts)
+            assert closed == (closure == want)
+            assert not closed
 
     def test_closure_contains_inputs_and_bounds(self):
         rng = random.Random(5)

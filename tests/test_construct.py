@@ -151,3 +151,9 @@ class TestGroupSpec:
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown kind"):
             GroupSpec("frobnicate").build()
+
+    @pytest.mark.parametrize("n", [-5, 0, 257])
+    def test_parameter_outside_degree_bound(self, n):
+        # raised at construction, before expected_order computes n!
+        with pytest.raises(ValueError, match="1..256"):
+            GroupSpec("symmetric", n)

@@ -2,10 +2,25 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mnlab import (FinLattice, NotALatticeError, Partition, all_congruences,
                    all_subgroups, chain, cyclic, gset_algebra, iso_check,
                    klein, m_n, regular_action, symmetric)
+
+from oracles import is_lattice, pair_has_join
+
+
+@st.composite
+def subset_families(draw):
+    """A family of subsets of a 4- or 5-set, at most 12 of them, sometimes
+    with the empty and the full set added so that lattices are common."""
+    m = draw(st.integers(4, 5))
+    masks = draw(st.sets(st.integers(0, 2 ** m - 1), min_size=2, max_size=12))
+    if draw(st.booleans()):
+        masks |= {0, 2 ** m - 1}
+    return [frozenset(i for i in range(m) if x >> i & 1) for x in sorted(masks)]
 
 
 def subgroup_lattice(G):
@@ -43,6 +58,21 @@ class TestConstruction:
         items = [frozenset({0}), frozenset({1}), frozenset({0, 1})]
         with pytest.raises(NotALatticeError):
             FinLattice.from_inclusion(items, lambda a, b: a <= b)
+
+    @settings(max_examples=300, deadline=None)
+    @given(subset_families())
+    def test_accepts_exactly_the_oracle_lattices(self, family):
+        leq = np.array([[a <= b for b in family] for a in family],
+                       dtype=bool).reshape(len(family), len(family))
+        try:
+            L = FinLattice.from_inclusion(family, lambda a, b: a <= b)
+        except NotALatticeError as err:
+            assert not is_lattice(leq)
+            if err.pair is not None:
+                assert not pair_has_join(leq, *err.pair)
+        else:
+            assert is_lattice(leq)
+            assert (L.leq == leq).all()
 
     def test_non_partial_order_rejected(self):
         bad = np.array([[1, 1], [1, 1]], dtype=bool)
