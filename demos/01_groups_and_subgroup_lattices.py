@@ -22,7 +22,7 @@ print("subgroups of S3 by order:", [H.order for H in subs])
 
 # The subgroup lattice of S3 is M_4: four incomparable proper subgroups
 # squeezed between the trivial group and S3.
-L = FinLattice.from_inclusion(subs, lambda a, b: a.is_subgroup_of(b),
+L = FinLattice.from_inclusion([frozenset(H.elements) for H in subs],
                               [f"order {H.order}" for H in subs])
 print("Sub(S3) shape:", L.shape_report())
 print(L.to_dot())

@@ -35,6 +35,6 @@ print("coset action on", len(cosets(G, H)), "points; kernel order",
 
 Lcon = all_congruences(gset_algebra(act))
 subs = [K for K in all_subgroups(G) if H.is_subgroup_of(K)]
-Lint = FinLattice.from_inclusion(subs, lambda a, b: a.is_subgroup_of(b))
+Lint = FinLattice.from_inclusion([frozenset(K.elements) for K in subs])
 print("interval size:", Lint.n, "| Con size:", Lcon.n,
       "| isomorphic:", iso_check(Lint, Lcon) is not None)

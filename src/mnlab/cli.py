@@ -139,9 +139,8 @@ def _cmd_interval(args) -> int:
                          f" orders {H.order}/{G.order})")
     members = subgroup_interval(G, H)
     from .lattice import FinLattice
-    L = FinLattice.from_inclusion(
-        members, lambda a, b: a._eset <= b._eset,
-        [f"o{K.order}" for K in members])
+    L = FinLattice.from_inclusion([K._eset for K in members],
+                                  [f"o{K.order}" for K in members])
     payload = {"format": 1,
                "interval": {"group_order": G.order, "subgroup_order": H.order,
                             "index": G.order // H.order,

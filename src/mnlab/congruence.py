@@ -119,10 +119,12 @@ def _congruence_set(size: int, ops: Sequence[Sequence[int]]) -> set[tuple[int, .
 
 
 def _lattice_from_rgs(rgs_set: set[tuple[int, ...]]) -> FinLattice:
-    from .partition import rgs_refines
+    """Ordered by refinement, which is inclusion of the related pairs."""
     items = sorted(rgs_set)
     labels = [",".join(map(str, r)) for r in items]
-    return FinLattice.from_inclusion(items, rgs_refines, labels)
+    related = [{(x, y) for y, b in enumerate(r) for x in range(y) if r[x] == b}
+               for r in items]
+    return FinLattice.from_inclusion(related, labels)
 
 
 def lattice_partitions(L: FinLattice) -> list[Partition]:

@@ -1,20 +1,28 @@
-"""Finite lattices: order matrix, shape analysis, isomorphism, DOT diagrams.
+"""Finite lattices on int bitsets: shape analysis, isomorphism, DOT diagrams.
 
-A lattice is held as a boolean leq matrix over elements 0..n-1 (leq[i, j]
-means i <= j), with optional string labels.  Construction verifies that the
-order really is a lattice: a partial order with unique bottom and top in
-which every pair has a join.  Meets follow, so they are not checked: the meet
-of a pair is the join of its common lower bounds, the bottom among them.
+A lattice over elements 0..n-1 is held as Python-int bitsets: ``up[i]`` has
+bit j set iff i <= j, and ``down`` is its transpose, with optional string
+labels.  Construction verifies that the order really is a lattice: a partial
+order with unique bottom and top in which every pair has a join.  Meets
+follow, so they are not checked: the meet of a pair is the join of its
+common lower bounds, the bottom among them.  ``from_inclusion`` builds the
+order of a family of sets (partitions enter as their sets of related pairs).
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from typing import Callable, Optional, Sequence
-
-import numpy as np
+from typing import Callable, Collection, Iterator, Optional, Sequence
 
 ISO_SIZE_BOUND = 24
+
+
+def _bits(x: int) -> Iterator[int]:
+    """Positions of the set bits of x >= 0, lowest first."""
+    while x:
+        low = x & -x
+        yield low.bit_length() - 1
+        x ^= low
 
 
 def _mn_of(mids: Sequence, leq: Callable[[object, object], bool]) -> Optional[int]:
@@ -39,83 +47,93 @@ class NotALatticeError(ValueError):
 
 
 class FinLattice:
-    """An immutable finite lattice over elements 0..n-1."""
+    """An immutable finite lattice over elements 0..n-1, given by its
+    up-sets: bit j of ``up[i]`` is set iff i <= j."""
 
-    def __init__(self, leq: np.ndarray, labels: Optional[Sequence[str]] = None):
-        leq = np.asarray(leq, dtype=bool)
-        n = leq.shape[0]
-        if leq.shape != (n, n):
-            raise ValueError(f"leq must be square, got {leq.shape}")
-        self.n = n
-        self.leq = leq
-        self.leq.setflags(write=False)
+    def __init__(self, up: Sequence[int], labels: Optional[Sequence[str]] = None):
+        self.up = tuple(up)
+        self.n = n = len(self.up)
         self.labels = tuple(labels) if labels is not None else tuple(map(str, range(n)))
         if len(self.labels) != n:
             raise ValueError("label count does not match element count")
         self._validate()
 
     def _validate(self) -> None:
-        leq, n = self.leq, self.n
+        """Check that ``up`` is a lattice order; set ``down``, ``bottom``
+        and ``top``."""
+        up, n = self.up, self.n
         if n == 0:
             raise NotALatticeError("empty carrier has no bottom element")
-        if not leq.diagonal().all():
+        if any(u >> n for u in up):  # also true for a negative u
+            raise ValueError(f"an up-set has a bit at or above n = {n}")
+        down = [0] * n
+        for i, u in enumerate(up):
+            for j in _bits(u):
+                down[j] |= 1 << i
+        self.down = tuple(down)
+        if any(not u >> i & 1 for i, u in enumerate(up)):
             raise ValueError("order is not reflexive")
-        if (leq & leq.T & ~np.eye(n, dtype=bool)).any():
+        if any(u & d != 1 << i for i, (u, d) in enumerate(zip(up, down))):
             raise ValueError("order is not antisymmetric")
-        closure = leq @ leq
-        if (closure & ~leq).any():
+        if any(up[j] & ~u for u in up for j in _bits(u)):
             raise ValueError("order is not transitive")
-        if leq.all(axis=1).sum() != 1:
+        full = (1 << n) - 1
+        if up.count(full) != 1:
             raise NotALatticeError("bottom element is not unique")
-        if leq.all(axis=0).sum() != 1:
+        if down.count(full) != 1:
             raise NotALatticeError("top element is not unique")
-        # every pair needs a join; columns follow a linear extension, so the
-        # lowest common upper bound is the only candidate, and it is the join
-        # iff its up-set is the pair's whole common up-set
-        order = np.argsort(leq.sum(axis=0), kind="stable")  # by down-set size
-        rows = np.packbits(leq[:, order], axis=1, bitorder="little")
-        up = [int.from_bytes(row.tobytes(), "little") for row in rows]
-        up_at = [up[k] for k in order]
+        self.bottom, self.top = up.index(full), down.index(full)
+        # every pair needs a join: an element whose up-set is the pair's
+        # whole common up-set
+        ups = set(up)
         for i in range(n):
             for j in range(i + 1, n):
-                common = up[i] & up[j]
-                if up_at[(common & -common).bit_length() - 1] != common:
+                if up[i] & up[j] not in ups:
                     raise NotALatticeError(
                         f"elements {i} and {j} have no join", (i, j))
 
     @classmethod
-    def from_inclusion(cls, items: Sequence, leq_fn: Callable,
+    def from_inclusion(cls, sets: Sequence[Collection],
                        labels: Optional[Sequence[str]] = None) -> "FinLattice":
-        """Build from a containment predicate over concrete items."""
-        n = len(items)
-        leq = np.zeros((n, n), dtype=bool)
-        for i, a in enumerate(items):
-            for j, b in enumerate(items):
-                leq[i, j] = leq_fn(a, b)
-        return cls(leq, labels)
+        """The inclusion order of a family of sets: i <= j iff
+        sets[i] <= sets[j], so up[i] is the AND of its members' columns."""
+        full = (1 << len(sets)) - 1
+        column: dict = {}  # member -> bitset of the sets that hold it
+        for i, s in enumerate(sets):
+            for x in s:
+                column[x] = column.get(x, 0) | 1 << i
+        up = []
+        for s in sets:
+            u = full
+            for x in s:
+                u &= column[x]
+            up.append(u)
+        return cls(up, labels)
+
+    def leq(self, i: int, j: int) -> bool:
+        return bool(self.up[i] >> j & 1)
 
     @cached_property
-    def bottom(self) -> int:
-        return int(np.nonzero(self.leq.all(axis=1))[0][0])
-
-    @cached_property
-    def top(self) -> int:
-        return int(np.nonzero(self.leq.all(axis=0))[0][0])
-
-    @cached_property
-    def covers(self) -> np.ndarray:
-        """covers[i, j] iff j covers i (strictly above, nothing between)."""
-        lt = self.leq & ~np.eye(self.n, dtype=bool)
-        return lt & ~(lt @ lt)
+    def covers(self) -> tuple[int, ...]:
+        """Bit j of covers[i] is set iff j covers i (strictly above, nothing
+        between)."""
+        strict = [u & ~(1 << i) for i, u in enumerate(self.up)]
+        out = []
+        for s in strict:
+            above = 0
+            for k in _bits(s):
+                above |= strict[k]
+            out.append(s & ~above)
+        return tuple(out)
 
     @cached_property
     def _depths(self) -> tuple[int, ...]:
         """Longest chain from the bottom up to each element."""
-        order = np.argsort(self.leq.sum(axis=0))  # by down-set size
         h = [0] * self.n
-        for j in order:
-            below = np.nonzero(self.covers[:, j])[0]
-            h[j] = 1 + max((h[i] for i in below), default=-1)
+        # by down-set size, a linear extension: lower covers come first
+        for i in sorted(range(self.n), key=lambda k: self.down[k].bit_count()):
+            for j in _bits(self.covers[i]):
+                h[j] = max(h[j], h[i] + 1)
         return tuple(h)
 
     @cached_property
@@ -127,29 +145,26 @@ class FinLattice:
         return self._depths[i]
 
     def atoms(self) -> list[int]:
-        return [int(j) for j in np.nonzero(self.covers[self.bottom])[0]]
+        return list(_bits(self.covers[self.bottom]))
 
     def coatoms(self) -> list[int]:
-        return [int(i) for i in np.nonzero(self.covers[:, self.top])[0]]
+        return [i for i, c in enumerate(self.covers) if c >> self.top & 1]
 
     def meet(self, i: int, j: int) -> int:
-        lows = self.leq[:, i] & self.leq[:, j]
-        return int(np.nonzero(lows & self.leq[lows].all(axis=0))[0][0])
+        return self.down.index(self.down[i] & self.down[j])
 
     def join(self, i: int, j: int) -> int:
-        ups = self.leq[i, :] & self.leq[j, :]
-        return int(np.nonzero(ups & self.leq[:, ups].all(axis=1))[0][0])
+        return self.up.index(self.up[i] & self.up[j])
 
     def __len__(self) -> int:
         return self.n
 
     def __eq__(self, other) -> bool:
-        return (isinstance(other, FinLattice) and self.n == other.n
-                and bool((self.leq == other.leq).all())
+        return (isinstance(other, FinLattice) and self.up == other.up
                 and self.labels == other.labels)
 
     def __hash__(self) -> int:
-        return hash((self.n, self.leq.tobytes(), self.labels))
+        return hash((self.up, self.labels))
 
     def __repr__(self) -> str:
         return f"FinLattice(n={self.n}, height={self.height})"
@@ -158,10 +173,11 @@ class FinLattice:
         """n if this lattice is M_n (n >= 3): every element besides bottom
         and top is incomparable to every other."""
         mids = [i for i in range(self.n) if i != self.bottom and i != self.top]
-        return _mn_of(mids, lambda i, j: self.leq[i, j])
+        return _mn_of(mids, self.leq)
 
     def is_chain(self) -> bool:
-        return bool((self.leq | self.leq.T).all())
+        full = (1 << self.n) - 1
+        return all(u | d == full for u, d in zip(self.up, self.down))
 
     def shape(self) -> tuple[str, Optional[int]]:
         """("M_n", n) / ("chain", None) / ("boolean-2", None) / ("other", None).
@@ -196,8 +212,8 @@ class FinLattice:
         for i in range(self.n):
             lines.append(f'  n{i} [label="{self.labels[i]}"];')
         for i in range(self.n):
-            for j in np.nonzero(self.covers[i])[0]:
-                lines.append(f"  n{i} -> n{int(j)};")
+            for j in _bits(self.covers[i]):
+                lines.append(f"  n{i} -> n{j};")
         lines.append("}")
         return "\n".join(lines)
 
@@ -207,28 +223,23 @@ def m_n(n: int) -> FinLattice:
     if n < 1:
         raise ValueError("n must be >= 1")
     size = n + 2
-    leq = np.eye(size, dtype=bool)
-    leq[0, :] = True          # bottom below everything
-    leq[:, size - 1] = True   # top above everything
+    top = 1 << (size - 1)
+    up = [(1 << size) - 1] + [1 << i | top for i in range(1, n + 1)] + [top]
     labels = ["0"] + [f"a{i}" for i in range(1, n + 1)] + ["1"]
-    return FinLattice(leq, labels)
+    return FinLattice(up, labels)
 
 
 def chain(k: int) -> FinLattice:
     """A k-element total order."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    leq = np.triu(np.ones((k, k), dtype=bool))
-    return FinLattice(leq)
+    return FinLattice([(1 << k) - (1 << i) for i in range(k)])
 
 
 def _profiles(L: FinLattice) -> list[tuple[int, int, int, int]]:
-    down = L.leq.sum(axis=0)
-    up = L.leq.sum(axis=1)
-    cov_in = L.covers.sum(axis=0)
-    cov_out = L.covers.sum(axis=1)
-    return [(int(L._depths[i]), int(down[i]), int(up[i]),
-             int(cov_in[i]) * 32 + int(cov_out[i])) for i in range(L.n)]
+    return [(L._depths[i], L.down[i].bit_count(), L.up[i].bit_count(),
+             sum(c >> i & 1 for c in L.covers) * 32 + L.covers[i].bit_count())
+            for i in range(L.n)]
 
 
 def iso_check(L1: FinLattice, L2: FinLattice) -> Optional[list[int]]:
@@ -260,8 +271,8 @@ def iso_check(L1: FinLattice, L2: FinLattice) -> Optional[list[int]]:
             ok = True
             for i2 in order[:k]:
                 j2 = image[i2]
-                if (L1.leq[i, i2] != L2.leq[j, j2]
-                        or L1.leq[i2, i] != L2.leq[j2, j]):
+                if (L1.leq(i, i2) != L2.leq(j, j2)
+                        or L1.leq(i2, i) != L2.leq(j2, j)):
                     ok = False
                     break
             if ok:
@@ -274,5 +285,5 @@ def iso_check(L1: FinLattice, L2: FinLattice) -> Optional[list[int]]:
         return False
 
     if extend(0):
-        return [int(j) for j in image]  # type: ignore[arg-type]
+        return list(image)  # type: ignore[arg-type]
     return None

@@ -6,11 +6,12 @@ import random
 import pytest
 
 from mnlab import (Partition, UnaryAlgebra, all_congruences, all_partitions,
-                   congruences_oracle, cyclic, dihedral, galois_closure,
-                   galois_is_closed, gset_algebra, klein, preserves,
-                   preserving_maps, principal_congruence, regular_action,
-                   symmetric)
-from mnlab.congruence import lattice_partitions
+                   all_subgroups, congruences_oracle, cyclic, dihedral,
+                   galois_closure, galois_is_closed, gset_algebra, klein,
+                   preserves, preserving_maps, principal_congruence,
+                   regular_action, symmetric)
+from mnlab.congruence import _congruence_set, lattice_partitions
+from mnlab.partition import rgs_canonical
 from mnlab.perm import PermGroup
 
 KLEIN_REGULAR = gset_algebra(regular_action(klein()))
@@ -150,6 +151,28 @@ class TestOracle:
                         for _ in range(rng.randint(0, 3)))
             A = UnaryAlgebra(size, ops)
             assert all_congruences(A) == congruences_oracle(A)
+
+    def test_block_systems_agree_with_sympy(self):
+        """sympy's own block routines, on every transitive subgroup of S4,
+        S5 and S6: primitive iff Con is the 2-element chain, and the minimal
+        block systems are the atoms of Con."""
+        from sympy.combinatorics import Permutation, PermutationGroup
+
+        transitive = {}
+        for d in (4, 5, 6):
+            for K in all_subgroups(symmetric(d)):
+                G = PermutationGroup([Permutation(list(g.images))
+                                      for g in K.generators] or [Permutation(d - 1)])
+                if not G.is_transitive():
+                    continue
+                transitive[d] = transitive.get(d, 0) + 1
+                con = _congruence_set(d, [g.images for g in K.generators])
+                assert G.is_primitive() == (len(con) == 2)
+                L = all_congruences(gset_algebra(K))
+                parts = lattice_partitions(L)
+                assert ({rgs_canonical(b) for b in G.minimal_blocks()}
+                        == {parts[a].rgs for a in L.atoms()})
+        assert transitive == {4: 9, 5: 20, 6: 279}
 
 
 class TestPreservingMaps:

@@ -1,13 +1,21 @@
 """Finite lattice representation, shape detection, isomorphism, DOT output."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import mnlab
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mnlab import (FinLattice, NotALatticeError, Partition, all_congruences,
-                   all_subgroups, chain, cyclic, gset_algebra, iso_check,
-                   klein, m_n, regular_action, symmetric)
+from mnlab import (FinLattice, NotALatticeError, UnaryAlgebra,
+                   all_congruences, all_subgroups, chain, cyclic, gset_algebra,
+                   iso_check, klein, m_n, regular_action, symmetric)
+from mnlab.congruence import lattice_partitions
+from mnlab.partition import rgs_join, rgs_meet
 
 from oracles import is_lattice, pair_has_join
 
@@ -25,7 +33,7 @@ def subset_families(draw):
 
 def subgroup_lattice(G):
     subs = all_subgroups(G)
-    return FinLattice.from_inclusion(subs, lambda a, b: a.is_subgroup_of(b),
+    return FinLattice.from_inclusion([K._eset for K in subs],
                                      [f"o{K.order}" for K in subs])
 
 
@@ -37,13 +45,13 @@ class TestConstruction:
         assert L.detect_mn() == 4
 
     def test_single_item(self):
-        L = FinLattice.from_inclusion([frozenset()], lambda a, b: a <= b)
+        L = FinLattice.from_inclusion([frozenset()])
         assert L.n == 1 and L.height == 0
         assert L.bottom == L.top == 0
 
     def test_two_chain(self):
-        L = FinLattice.from_inclusion(
-            [Partition.bottom(2), Partition.top(2)], Partition.refines)
+        # the related pairs of the bottom and the top partition of a 2-set
+        L = FinLattice.from_inclusion([set(), {(0, 1)}])
         assert L.n == 2 and L.height == 1
 
     def test_missing_join_reported(self):
@@ -51,13 +59,13 @@ class TestConstruction:
                  frozenset({0, 1, 2}), frozenset({0, 1, 3}),
                  frozenset({0, 1, 2, 3})]
         with pytest.raises(NotALatticeError) as err:
-            FinLattice.from_inclusion(items, lambda a, b: a <= b)
+            FinLattice.from_inclusion(items)
         assert err.value.pair is not None
 
     def test_missing_bottom_rejected(self):
         items = [frozenset({0}), frozenset({1}), frozenset({0, 1})]
         with pytest.raises(NotALatticeError):
-            FinLattice.from_inclusion(items, lambda a, b: a <= b)
+            FinLattice.from_inclusion(items)
 
     @settings(max_examples=300, deadline=None)
     @given(subset_families())
@@ -65,19 +73,37 @@ class TestConstruction:
         leq = np.array([[a <= b for b in family] for a in family],
                        dtype=bool).reshape(len(family), len(family))
         try:
-            L = FinLattice.from_inclusion(family, lambda a, b: a <= b)
+            L = FinLattice.from_inclusion(family)
         except NotALatticeError as err:
             assert not is_lattice(leq)
             if err.pair is not None:
                 assert not pair_has_join(leq, *err.pair)
         else:
             assert is_lattice(leq)
-            assert (L.leq == leq).all()
+            assert all(L.leq(i, j) == leq[i, j]
+                       for i in range(L.n) for j in range(L.n))
 
     def test_non_partial_order_rejected(self):
-        bad = np.array([[1, 1], [1, 1]], dtype=bool)
         with pytest.raises(ValueError, match="antisymmetric"):
-            FinLattice(bad)
+            FinLattice([0b11, 0b11])
+
+    def test_non_reflexive_rejected(self):
+        with pytest.raises(ValueError, match="reflexive"):
+            FinLattice([0b11, 0b00])
+
+    def test_non_transitive_rejected(self):
+        # 0 <= 1 and 1 <= 2, but not 0 <= 2
+        with pytest.raises(ValueError, match="transitive"):
+            FinLattice([0b011, 0b110, 0b100])
+
+    def test_out_of_range_bit_rejected(self):
+        for up in ([0b111, 0b10], [-1, 0b10]):
+            with pytest.raises(ValueError, match="at or above"):
+                FinLattice(up)
+
+    def test_wrong_label_count_rejected(self):
+        with pytest.raises(ValueError, match="label count"):
+            FinLattice([0b11, 0b10], ["only one"])
 
 
 class TestShape:
@@ -119,6 +145,16 @@ class TestShape:
         assert L.join(1, 2) == L.top
         assert L.meet(1, 1) == 1 == L.join(1, 1)
 
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_meet_join_of_eq_n_are_partition_meet_join(self, n):
+        L = all_congruences(UnaryAlgebra(n, ()))
+        rgs = [p.rgs for p in lattice_partitions(L)]
+        assert L.n == len(set(rgs)) == {4: 15, 5: 52}[n]
+        for i in range(L.n):
+            for j in range(L.n):
+                assert rgs[L.meet(i, j)] == rgs_meet(rgs[i], rgs[j])
+                assert rgs[L.join(i, j)] == rgs_join(rgs[i], rgs[j])
+
 
 class TestIso:
     def test_sub_s3_iso_con_regular_s3(self):
@@ -128,7 +164,7 @@ class TestIso:
         assert image is not None
         for i in range(L1.n):
             for j in range(L1.n):
-                assert L1.leq[i, j] == L2.leq[image[i], image[j]]
+                assert L1.leq(i, j) == L2.leq(image[i], image[j])
 
     def test_different_sizes(self):
         assert iso_check(m_n(3), chain(3)) is None
@@ -167,3 +203,11 @@ class TestDot:
 
     def test_deterministic(self):
         assert m_n(5).to_dot() == m_n(5).to_dot()
+
+
+def test_import_leaves_numpy_out():
+    code = "import sys, mnlab; print('numpy' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(mnlab.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
