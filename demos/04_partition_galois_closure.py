@@ -6,7 +6,7 @@
 
 from mnlab import (Partition, galois_closure, galois_is_closed,
                    preserving_maps)
-from mnlab.verify import _atom_system_candidates
+from mnlab.verify import _atom_systems
 
 # Three pairwise-disjoint doubleton partitions of a 3-set: the atoms of the
 # full partition lattice Eq(3).  Only the identity and the three constant
@@ -26,10 +26,11 @@ print("\nKlein triple: maps =", len(preserving_maps(4, triple)),
 # Four-partition systems (candidate M_4 atom sets) behave differently: on
 # carriers of size 4 and 5 every candidate's closure grows strictly.
 for size in (4, 5):
-    combos = list(_atom_system_candidates(size, 4))
+    count, pairwise_top = _atom_systems(size, 4)
+    # a closure holds all pairwise joins; only pairwise-top systems can close
     closed = sum(galois_is_closed(size, [Partition(r) for r in c])
-                 for c in combos)
-    print(f"size {size}: {len(combos)} candidate systems, {closed} closed")
+                 for c in pairwise_top)
+    print(f"size {size}: {count} candidate systems, {closed} closed")
 
 # On 6 elements the congruences of the regular order-6 dihedral action give
 # a closed system, and the minimal carrier bound 2p = 6 is met.

@@ -158,9 +158,6 @@ def _cmd_verify(args) -> int:
     elif args.what == "theorem1":
         if args.p is None:
             raise UsageError("verify theorem1 requires --p")
-        if args.p == 3 and not args.slow:
-            raise UsageError("verify theorem1 --p 3 enumerates all 1455 subgroups"
-                             " of S6; pass --slow to confirm the slow tier")
         report = check_theorem1(args.p)
     elif args.what == "theorem2":
         if args.p is None or args.max_size is None:
@@ -222,8 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     v.add_argument("--max-order", type=int, default=24)
     v.add_argument("--p", type=int)
     v.add_argument("--max-size", type=int)
-    v.add_argument("--slow", action="store_true",
-                   help="allow the slow tier (degree-6 enumeration)")
     v.add_argument("--out")
     v.set_defaults(func=_cmd_verify)
 

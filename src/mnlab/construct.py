@@ -106,7 +106,8 @@ def coset_action(G: PermGroup, H: PermGroup) -> CosetAction:
     """G's generators acting on the left cosets of H, plus the kernel.
 
     The kernel is computed directly as {g : g fixes every coset}; it always
-    equals core(G, H), so the action is faithful exactly when H is core-free.
+    equals the core of H (the intersection of its conjugates), so the action
+    is faithful exactly when H is core-free.
     """
     from .perm import cosets as _cosets
     _require_subgroup(G, H)

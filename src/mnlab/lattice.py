@@ -141,9 +141,6 @@ class FinLattice:
         """Longest chain length minus one."""
         return max(self._depths)
 
-    def depth_of(self, i: int) -> int:
-        return self._depths[i]
-
     def atoms(self) -> list[int]:
         return list(_bits(self.covers[self.bottom]))
 

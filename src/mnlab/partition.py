@@ -176,18 +176,6 @@ class Partition:
         return cls(rgs_canonical(labels))
 
     @classmethod
-    def from_blocks(cls, size: int, blocks: Iterable[Iterable[int]]) -> "Partition":
-        labels = [-1] * size
-        for bi, block in enumerate(blocks):
-            for x in block:
-                if labels[x] != -1:
-                    raise ValueError(f"element {x} occurs in two blocks")
-                labels[x] = bi
-        if -1 in labels:
-            raise ValueError("blocks do not cover the carrier")
-        return cls.from_labels(labels)
-
-    @classmethod
     def bottom(cls, size: int) -> "Partition":
         """All singletons (the identity relation)."""
         return cls(range(size))

@@ -133,18 +133,6 @@ class Perm:
     def inverse(self) -> "Perm":
         return ~self
 
-    def __pow__(self, k: int) -> "Perm":
-        if k < 0:
-            return (~self) ** (-k)
-        out = Perm.identity(self.degree)
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     def order(self) -> int:
         return _order_of(self._b)
 
@@ -187,11 +175,6 @@ class Perm:
 
     def __repr__(self) -> str:
         return f"Perm({self.images!r})"
-
-
-def compose(p: Perm, q: Perm) -> Perm:
-    """Composition p after q: (p . q)(x) = p(q(x))."""
-    return p * q
 
 
 class PermGroup:
@@ -265,10 +248,6 @@ class PermGroup:
     def is_transitive(self) -> bool:
         return len(self.orbits()) == 1
 
-    def point_stabilizer(self, x: int) -> "PermGroup":
-        eset = {p._b for p in self.elements if p._b[x] == x}
-        return PermGroup._from_eset(self.degree, eset, _small_genset(self.degree, eset))
-
 
 def _orbits(degree: int, gens: Iterable[bytes]) -> list[tuple[int, ...]]:
     """Orbits on {0..degree-1} of the group generated by ``gens`` (image
@@ -316,9 +295,9 @@ def group_closure(degree: int, gens: Iterable[Perm]) -> PermGroup:
     return PermGroup(degree, gens, elems)
 
 
-def _require_subgroup(G: PermGroup, H: PermGroup, name: str = "H") -> None:
+def _require_subgroup(G: PermGroup, H: PermGroup) -> None:
     if not H.is_subgroup_of(G):
-        raise ValueError(f"{name} (order {H.order}, degree {H.degree}) is not a "
+        raise ValueError(f"H (order {H.order}, degree {H.degree}) is not a "
                          f"subgroup of G (order {G.order}, degree {G.degree})")
 
 
@@ -482,28 +461,6 @@ def is_normal(G: PermGroup, H: PermGroup) -> bool:
         if conj != H._eset:
             return False
     return True
-
-
-def core(G: PermGroup, H: PermGroup) -> PermGroup:
-    """Largest normal subgroup of G inside H: the intersection of H's conjugates."""
-    _require_subgroup(G, H)
-    ident = bytes(range(G.degree))
-    cur = set(H._eset)
-    for g in G.elements:
-        gb, gi = g._b, _inverse(g._b)
-        cur &= {_compose(_compose(gb, h), gi) for h in cur}
-        if cur == {ident}:
-            break
-    return PermGroup._from_eset(G.degree, cur, _small_genset(G.degree, cur))
-
-
-def subgroup_join(G: PermGroup, A: PermGroup, B: PermGroup) -> PermGroup:
-    """Closure of A union B inside G."""
-    _require_subgroup(G, A, "A")
-    _require_subgroup(G, B, "B")
-    gens = tuple(g._b for g in A.generators) + tuple(g._b for g in B.generators)
-    eset = mulclose(G.degree, gens, seed=A._eset | B._eset)
-    return PermGroup._from_eset(G.degree, eset, gens)
 
 
 def quotient(G: PermGroup, N: PermGroup) -> PermGroup:

@@ -270,20 +270,15 @@ def check_theorem1(p: int, max_degree: Optional[int] = None) -> VerificationRepo
     )
 
 
-class _PairwiseTopSystem(tuple):
-    """An atom system, a tuple of RGS, whose pairwise joins are all the top."""
-
-    __slots__ = ()
-
-
-def _atom_system_candidates(size: int, k: int):
-    """All k-sets of proper partitions with pairwise meet bottom and joint
-    join top, yielded in lexicographic order as tuples of RGS.  The systems
-    whose pairwise joins are all the top are yielded as _PairwiseTopSystem.
+def _atom_systems(size: int, k: int) -> tuple[int, list[tuple]]:
+    """Count the k-sets of proper partitions with pairwise meet bottom and
+    joint join top, and list the ones whose pairwise joins are all the top,
+    as tuples of RGS in lexicographic order.
 
     A clique search on interned partition ids: one edge mask marks pairs whose
     meet is bottom (disjoint pair relations), a second marks pairs whose join
-    is top, and the running joint join is a join-table lookup.
+    is top, and the running joint join is a join-table lookup.  The last
+    level is counted as a mask; only its pairwise-top members are listed.
     """
     ix = partition_index(size)
     parts, rel, join, top = ix.parts, ix.rel, ix.join, ix.top
@@ -294,30 +289,32 @@ def _atom_system_candidates(size: int, k: int):
     later = [0] * len(parts)
     for i in proper:
         later[i] = sum(1 << j for j in proper if j > i and not rel[i] & rel[j])
+    pairwise_top = []
 
-    def prefixes(cand: int, joined: int, ptop: int, chosen: tuple, depth: int):
-        # (k-1)-cliques with the state to finish them: cand holds the proper
-        # ids above the last chosen, meet-disjoint from all chosen; ptop the
-        # ids pairwise-top with all chosen, 0 once a chosen pair is not
-        if depth == k - 1:
-            yield cand, joined, ptop, chosen
-            return
+    def search(cand: int, joined: int, ptop: int, chosen: tuple) -> int:
+        # cand holds the proper ids above the last chosen, meet-disjoint from
+        # all chosen; ptop the ids pairwise-top with all chosen, 0 once a
+        # chosen pair is not
+        if len(chosen) == k - 1:
+            cand &= tops[joined]
+            done = cand & ptop
+            while done:
+                low = done & -done
+                done ^= low
+                pairwise_top.append((*chosen, parts[low.bit_length() - 1]))
+            return cand.bit_count()
+        count = 0
         while cand:
             low = cand & -cand
             cand ^= low
             i = low.bit_length() - 1
-            yield from prefixes(cand & later[i], join[joined][i],
-                                ptop & tops[i] if ptop & low else 0,
-                                (*chosen, parts[i]), depth + 1)
+            count += search(cand & later[i], join[joined][i],
+                            ptop & tops[i] if ptop & low else 0,
+                            (*chosen, parts[i]))
+        return count
 
     full = sum(1 << i for i in proper)
-    for cand, joined, ptop, chosen in prefixes(full, ix.bottom, full, (), 0):
-        cand &= tops[joined]
-        while cand:
-            low = cand & -cand
-            cand ^= low
-            system = (*chosen, parts[low.bit_length() - 1])
-            yield _PairwiseTopSystem(system) if ptop & low else system
+    return search(full, ix.bottom, full, ()), pairwise_top
 
 
 def check_theorem2(p: int, max_size: int) -> VerificationReport:
@@ -335,16 +332,12 @@ def check_theorem2(p: int, max_size: int) -> VerificationReport:
     witnesses = []
     ok = True
     for s in range(2, max_size + 1):
-        n_candidates = 0
-        closed = []
-        for combo in _atom_system_candidates(s, k):
-            n_candidates += 1
-            # a closed system needs every *pairwise* join at the top already:
-            # the closure contains pairwise joins, and a join of two distinct
-            # atoms can be neither bottom nor a third atom
-            if (isinstance(combo, _PairwiseTopSystem)
-                    and galois_is_closed(s, [Partition(r) for r in combo])):
-                closed.append([list(r) for r in combo])
+        # a closed system needs every *pairwise* join at the top already:
+        # the closure contains pairwise joins, and a join of two distinct
+        # atoms can be neither bottom nor a third atom
+        n_candidates, pairwise_top = _atom_systems(s, k)
+        closed = [[list(r) for r in system] for system in pairwise_top
+                  if galois_is_closed(s, [Partition(r) for r in system])]
         per_size.append({
             "size": s,
             "candidate_systems": n_candidates,

@@ -10,11 +10,18 @@ more generators.
 ``is_lattice`` is the all-pairs reference check of a finite order: unique
 bottom and top, and a greatest lower and a least upper bound for every pair,
 each found by numpy masks over the whole order.
+
+``core`` intersects all conjugates of H, the definition of the kernel of G
+acting on the cosets of H.  ``atom_systems`` filters every k-set of proper
+partitions with ``itertools.combinations``, with no partition index and no
+clique search.
 """
 
+import functools
 import itertools
 
-from mnlab.perm import PermGroup, mulclose
+from mnlab.partition import all_rgs, rgs_join, rgs_meet
+from mnlab.perm import PermGroup, _compose, _inverse, mulclose
 
 
 def cyclic_subgroups(G):
@@ -83,3 +90,32 @@ def is_lattice(leq):
         return False
     return all(pair_has_meet(leq, i, j) and pair_has_join(leq, i, j)
                for i in range(n) for j in range(i + 1, n))
+
+
+def core(G, H):
+    """Largest normal subgroup of G inside H: the intersection of H's
+    conjugates gHg^-1 over every element g of G."""
+    cur = set(H._eset)
+    for g in G.elements:
+        gb, gi = g._b, _inverse(g._b)
+        cur &= {_compose(_compose(gb, h), gi) for h in H._eset}
+    return PermGroup._from_eset(G.degree, cur)
+
+
+@functools.lru_cache(maxsize=None)
+def atom_systems(size, k):
+    """Every k-set of proper partitions of a size-set with pairwise meet
+    bottom and joint join top, in lexicographic order, each as a pair
+    (system, pairwise_top): pairwise_top says every pairwise join is top."""
+    bottom, top = tuple(range(size)), (0,) * size
+    parts = [r for r in all_rgs(size) if r != bottom and r != top]
+    disjoint = [[rgs_meet(a, b) == bottom for b in parts] for a in parts]
+    out = []
+    for ids in itertools.combinations(range(len(parts)), k):
+        if not all(disjoint[i][j] for i, j in itertools.combinations(ids, 2)):
+            continue
+        system = tuple(parts[i] for i in ids)
+        if functools.reduce(rgs_join, system) == top:
+            out.append((system, all(rgs_join(a, b) == top for a, b
+                                    in itertools.combinations(system, 2))))
+    return tuple(out)

@@ -142,9 +142,9 @@ class TestVerify:
         rc, stdout, err = run(["verify", "lemma", "--max-order", "-3"], capsys)
         assert rc == 2 and stdout == "" and "at least 1" in err
 
-    def test_theorem1_p3_requires_slow(self, capsys):
-        rc, _, err = run(["verify", "theorem1", "--p", "3"], capsys)
-        assert rc == 2 and "--slow" in err
+    def test_theorem1_p3_needs_no_flag(self, capsys):
+        rc, stdout, _ = run(["verify", "theorem1", "--p", "3"], capsys)
+        assert rc == 0 and json.loads(stdout)["status"] == "PASS"
 
     def test_theorem2_small(self, capsys):
         rc, stdout, _ = run(["verify", "theorem2", "--p", "3",

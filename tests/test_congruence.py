@@ -14,6 +14,8 @@ from mnlab.congruence import _congruence_set, lattice_partitions
 from mnlab.partition import rgs_canonical
 from mnlab.perm import PermGroup
 
+from oracles import atom_systems
+
 KLEIN_REGULAR = gset_algebra(regular_action(klein()))
 
 
@@ -221,11 +223,9 @@ class TestGaloisClosure:
         # every size-4 candidate, every pairwise-top size-5 one and a seeded
         # sample of the other size-5 ones: the early-exit check agrees with
         # the full closure
-        from mnlab.verify import _PairwiseTopSystem, _atom_system_candidates
-        size5 = list(_atom_system_candidates(5, 4))
-        top5 = [c for c in size5 if isinstance(c, _PairwiseTopSystem)]
-        rest5 = [c for c in size5 if not isinstance(c, _PairwiseTopSystem)]
-        size4 = list(_atom_system_candidates(4, 4))
+        top5 = [c for c, flag in atom_systems(5, 4) if flag]
+        rest5 = [c for c, flag in atom_systems(5, 4) if not flag]
+        size4 = [c for c, _ in atom_systems(4, 4)]
         assert (len(size4), len(top5), len(rest5)) == (34, 70, 4780)
         sample = ([(4, c) for c in size4] + [(5, c) for c in top5]
                   + [(5, c) for c in random.Random(4).sample(rest5, 100)])

@@ -22,17 +22,6 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             Partition((1, 0))
 
-    def test_from_blocks_is_order_insensitive(self):
-        a = Partition.from_blocks(4, [(2, 3), (0, 1)])
-        b = Partition.from_blocks(4, [(1, 0), (3, 2)])
-        assert a == b and a.rgs == (0, 0, 1, 1)
-
-    def test_from_blocks_validates(self):
-        with pytest.raises(ValueError, match="two blocks"):
-            Partition.from_blocks(3, [(0, 1), (1, 2)])
-        with pytest.raises(ValueError, match="cover"):
-            Partition.from_blocks(3, [(0, 1)])
-
     @given(labelings)
     def test_from_labels_canonical(self, labels):
         p = Partition.from_labels(labels)
@@ -43,7 +32,6 @@ class TestCanonicalForm:
     def test_blocks_round_trip(self):
         p = Partition((0, 1, 0, 2, 1))
         assert p.blocks() == ((0, 2), (1, 4), (3,))
-        assert Partition.from_blocks(5, p.blocks()) == p
 
     def test_str(self):
         assert str(Partition((0, 0, 1, 1))) == "0 1|2 3"

@@ -10,11 +10,11 @@ from mnlab import (UnaryAlgebra, all_congruences, all_subgroups, check_lemma,
                    gset_algebra, is_dihedral, minimal_representation,
                    symmetric)
 from mnlab.congruence import lattice_partitions
-from mnlab.partition import all_rgs, rgs_refines
+from mnlab.partition import rgs_join, rgs_meet, rgs_refines
 from mnlab.perm import _orbits, subgroup_records
-from mnlab.verify import _PairwiseTopSystem, _atom_system_candidates, _mn_of
+from mnlab.verify import _atom_systems, _mn_of
 
-from oracles import maximal_descent_closure, subgroups_bounded_gen
+from oracles import atom_systems, maximal_descent_closure, subgroups_bounded_gen
 
 
 class TestEnumeration:
@@ -137,44 +137,32 @@ class TestTheorem2:
             check_theorem2(3, max_size=9)
 
     def test_candidate_systems_are_atom_systems(self):
-        from mnlab.partition import rgs_meet, rgs_join
-        bottom = tuple(range(5))
-        for combo in list(_atom_system_candidates(5, 4))[:50]:
-            for i, a in enumerate(combo):
-                for b in combo[i + 1:]:
-                    assert rgs_meet(a, b) == bottom
-            joined = combo[0]
-            for r in combo[1:]:
-                joined = rgs_join(joined, r)
-            assert joined == (0,) * 5
+        """Every listed system at sizes 5 and 6: four proper partitions with
+        pairwise meet bottom and every pairwise join, hence the joint join,
+        the top."""
+        for size, listed in ((5, 70), (6, 3390)):
+            bottom, top = tuple(range(size)), (0,) * size
+            _, systems = _atom_systems(size, 4)
+            assert len(systems) == listed
+            for system in systems:
+                assert len(set(system)) == 4
+                assert bottom not in system and top not in system
+                for a, b in itertools.combinations(system, 2):
+                    assert rgs_meet(a, b) == bottom and rgs_join(a, b) == top
+
+    def test_size4_candidates_by_plain_combinations(self):
+        want = atom_systems(4, 4)
+        assert len(want) == 34 and not any(flag for _, flag in want)
+        assert _atom_systems(4, 4) == (34, [])
 
     def test_size5_candidates_by_plain_combinations(self):
-        """Every 4-set of the 50 proper partitions of a 5-set, filtered by a
-        precomputed rgs_meet matrix and a joint rgs_join: the same systems
-        in the same order, and the same 70 with every pairwise join top."""
-        from mnlab.partition import rgs_meet, rgs_join
-        bottom, top = tuple(range(5)), (0,) * 5
-        parts = [r for r in all_rgs(5) if r != bottom and r != top]
-        assert len(parts) == 50
-        disjoint = [[rgs_meet(a, b) == bottom for b in parts] for a in parts]
-        want = []
-        for ids in itertools.combinations(range(50), 4):
-            if not all(disjoint[i][j] for i, j in itertools.combinations(ids, 2)):
-                continue
-            system = tuple(parts[i] for i in ids)
-            joined = system[0]
-            for r in system[1:]:
-                joined = rgs_join(joined, r)
-            if joined == top:
-                want.append((system, all(
-                    rgs_join(a, b) == top
-                    for a, b in itertools.combinations(system, 2))))
-        assert len(want) == 4850
-        assert sum(flag for _, flag in want) == 70
-        got = list(_atom_system_candidates(5, 4))
-        assert got == [system for system, _ in want]
-        assert [isinstance(c, _PairwiseTopSystem) for c in got] == [
-            flag for _, flag in want]
+        """The itertools.combinations oracle over the 50 proper partitions of
+        a 5-set: the same count, and the same 70 systems with every pairwise
+        join top, in the same order."""
+        want = atom_systems(5, 4)
+        top = [system for system, flag in want if flag]
+        assert (len(want), len(top)) == (4850, 70)
+        assert _atom_systems(5, 4) == (4850, top)
 
     def test_closed_systems_are_the_regular_dihedral_congruences(self):
         """The 20 closed size-6 systems are exactly the atom sets of
