@@ -14,10 +14,10 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .congruence import (ORACLE_SIZE_BOUND, all_congruences, congruences_oracle,
-                         lattice_partitions)
+from .congruence import (ORACLE_SIZE_BOUND, _congruence_set, all_congruences,
+                         congruences_oracle)
 from .construct import GroupSpec, regular_action
-from .io import FormatError, load_algebra, load_group, save_algebra, save_group
+from .io import load_algebra, load_group, save_algebra, save_group
 from .perm import DEFAULT_ORDER_BOUND, MAX_DEGREE, interval as subgroup_interval
 from .verify import (check_lemma, check_theorem1, check_theorem2,
                      minimal_representation)
@@ -37,20 +37,8 @@ def _emit(payload: dict, out: Optional[str]) -> None:
 def _cmd_group(args) -> int:
     if args.action != "make":
         raise UsageError(f"unknown group action {args.action!r}")
-    kind = args.kind
-    if kind == "cyclic":
-        if args.n is None:
-            raise UsageError("--kind cyclic requires --n")
-        spec = GroupSpec("cyclic", args.n)
-    elif kind == "dihedral":
-        if args.m is None:
-            raise UsageError("--kind dihedral requires --m")
-        spec = GroupSpec("dihedral", args.m)
-    elif kind == "symmetric":
-        if args.n is None:
-            raise UsageError("--kind symmetric requires --n")
-        spec = GroupSpec("symmetric", args.n)
-    elif kind == "klein":
+    kind = args.kind  # one of the parser's choices
+    if kind == "klein":
         spec = GroupSpec("klein")
     elif kind == "product":
         if not (args.left and args.right):
@@ -58,7 +46,10 @@ def _cmd_group(args) -> int:
         spec = GroupSpec("direct_product",
                          factors=(_parse_factor(args.left), _parse_factor(args.right)))
     else:
-        raise UsageError(f"unknown kind {args.kind!r}")
+        flag = "m" if kind == "dihedral" else "n"
+        if getattr(args, flag) is None:
+            raise UsageError(f"--kind {kind} requires --{flag}")
+        spec = GroupSpec(kind, getattr(args, flag))
     order = spec.expected_order()
     if order > DEFAULT_ORDER_BOUND:
         raise UsageError(f"group order {order} exceeds bound {DEFAULT_ORDER_BOUND}")
@@ -110,11 +101,11 @@ def _cmd_con(args) -> int:
     if args.oracle and A.size > ORACLE_SIZE_BOUND:
         raise UsageError(f"{args.algebra}: --oracle is limited to carrier"
                          f" size {ORACLE_SIZE_BOUND}, got {A.size}")
-    L = all_congruences(A)
+    L = all_congruences(A)  # checks the carrier-size bound first
     payload = {
         "format": 1,
         "algebra": {"size": A.size, "ops": len(A.ops), "name": A.name},
-        "congruences": [list(p.rgs) for p in lattice_partitions(L)],
+        "congruences": [list(r) for r in sorted(_congruence_set(A.size, A.ops))],
         "lattice": L.shape_report(),
     }
     if args.oracle:
@@ -238,13 +229,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
-        print(f"mnlab: error: {exc}", file=sys.stderr)
-        return 2
-    except (FormatError, FileNotFoundError, json.JSONDecodeError) as exc:
-        print(f"mnlab: error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (UsageError, FileNotFoundError, ValueError) as exc:
+        # FormatError and json.JSONDecodeError are ValueErrors
         print(f"mnlab: error: {exc}", file=sys.stderr)
         return 2
 

@@ -101,11 +101,15 @@ def principal_congruence(A: UnaryAlgebra, a: int, b: int) -> Partition:
     return Partition(_principal_rgs(A.size, A.ops, a, b))
 
 
-def _congruence_set(size: int, ops: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
-    """All congruences as RGS tuples: each one found is joined with the
-    principal ones alone, since every congruence is a join of principals."""
-    principals = {_principal_rgs(size, ops, a, b)
-                  for a in range(size) for b in range(a + 1, size)}
+def _principals(size: int, ops: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
+    """The principal congruences Cg(a, b), a < b, as RGS tuples."""
+    return {_principal_rgs(size, ops, a, b)
+            for a in range(size) for b in range(a + 1, size)}
+
+
+def _join_closure(size: int, principals: set[tuple[int, ...]]) -> set[tuple[int, ...]]:
+    """The bottom and every join of the given principal congruences: each one
+    found is joined with the principal ones alone."""
     found = {tuple(range(size))} | principals
     work = list(principals)
     while work:
@@ -118,6 +122,12 @@ def _congruence_set(size: int, ops: Sequence[Sequence[int]]) -> set[tuple[int, .
     return found
 
 
+def _congruence_set(size: int, ops: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
+    """All congruences as RGS tuples: every congruence is a join of
+    principal ones."""
+    return _join_closure(size, _principals(size, ops))
+
+
 def _lattice_from_rgs(rgs_set: set[tuple[int, ...]]) -> FinLattice:
     """Ordered by refinement, which is inclusion of the related pairs."""
     items = sorted(rgs_set)
@@ -125,11 +135,6 @@ def _lattice_from_rgs(rgs_set: set[tuple[int, ...]]) -> FinLattice:
     related = [{(x, y) for y, b in enumerate(r) for x in range(y) if r[x] == b}
                for r in items]
     return FinLattice.from_inclusion(related, labels)
-
-
-def lattice_partitions(L: FinLattice) -> list[Partition]:
-    """Recover the Partition objects of a congruence lattice from its labels."""
-    return [Partition(int(x) for x in lab.split(",")) for lab in L.labels]
 
 
 def all_congruences(A: UnaryAlgebra, max_size: int = CON_SIZE_BOUND) -> FinLattice:
@@ -207,11 +212,10 @@ def galois_closure(size: int, parts: Sequence[Partition]) -> FinLattice:
 
 
 def galois_is_closed(size: int, parts: Sequence[Partition]) -> bool:
-    """True iff the closure is exactly {bottom} | parts | {top}; False at the
-    first principal congruence of the preserving-maps algebra outside it."""
+    """True iff the closure is exactly {bottom} | parts | {top}; False,
+    without joining, once a principal congruence of the preserving-maps
+    algebra falls outside it."""
     want = {tuple(range(size)), (0,) * size}
     want.update(p.rgs for p in parts)
-    maps = preserving_maps(size, parts)
-    return (all(_principal_rgs(size, maps, a, b) in want
-                for a in range(size) for b in range(a + 1, size))
-            and _congruence_set(size, maps) == want)
+    principals = _principals(size, preserving_maps(size, parts))
+    return principals <= want and _join_closure(size, principals) == want

@@ -202,12 +202,6 @@ class Partition:
     def same(self, x: int, y: int) -> bool:
         return self.rgs[x] == self.rgs[y]
 
-    def is_bottom(self) -> bool:
-        return self.num_blocks == self.size
-
-    def is_top(self) -> bool:
-        return self.num_blocks <= 1
-
     def meet(self, other: "Partition") -> "Partition":
         self._check(other)
         return Partition(rgs_meet(self.rgs, other.rgs))

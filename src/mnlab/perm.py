@@ -130,9 +130,6 @@ class Perm:
     def __invert__(self) -> "Perm":
         return Perm._raw(_inverse(self._b))
 
-    def inverse(self) -> "Perm":
-        return ~self
-
     def order(self) -> int:
         return _order_of(self._b)
 

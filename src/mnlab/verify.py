@@ -11,7 +11,6 @@ excludes degree 7 by the prime-degree rule, which its report states.
 from __future__ import annotations
 
 import hashlib
-import json
 import time
 from dataclasses import dataclass, field
 from typing import Optional
@@ -20,7 +19,7 @@ from .congruence import (UnaryAlgebra, _congruence_set, all_congruences,
                          galois_is_closed, gset_algebra)
 from .construct import catalog, dihedral, regular_action, symmetric
 from .lattice import FinLattice, _mn_of
-from .partition import Partition, partition_index, rgs_refines
+from .partition import Partition, partition_index, rgs_canonical, rgs_refines
 from .perm import (PermGroup, _orbits, _order_of, _prime_power, _small_genset,
                    all_subgroups, is_dihedral, is_normal, is_simple, mulclose,
                    quotient, subgroup_records)
@@ -37,10 +36,6 @@ PRIME_DEGREE_RULE = (
 def _subgroup_key(H: PermGroup) -> str:
     digest = hashlib.sha1(b"|".join(p._b for p in H.elements)).hexdigest()[:10]
     return f"o{H.order}:{digest}"
-
-
-def _gen_strings(G: PermGroup) -> list[str]:
-    return [str(g) for g in G.generators]
 
 
 @dataclass
@@ -113,9 +108,6 @@ class VerificationReport:
             "notes": self.notes,
             "timing_ms": round(self.timing_ms, 3),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 def check_lemma(max_order: int = 24) -> VerificationReport:
@@ -244,7 +236,7 @@ def check_theorem1(p: int, max_degree: Optional[int] = None) -> VerificationRepo
             entry = {
                 "degree": d,
                 "order": K.order,
-                "generators": _gen_strings(K),
+                "generators": [str(g) for g in K.generators],
                 "transitive": True,
                 "regular": K.order == d,
                 "dihedral_m": m,
@@ -317,6 +309,29 @@ def _atom_systems(size: int, k: int) -> tuple[int, list[tuple]]:
     return search(full, ix.bottom, full, ()), pairwise_top
 
 
+def _orbit_firsts(size: int, systems: list[tuple]) -> list[int]:
+    """For each system, the position of the first system in its orbit under
+    S_size, which relabels the carrier: a breadth-first search on interned
+    partition ids under the transposition (0 1) and the size-cycle.  The list
+    must be S_size-invariant; an image outside it raises KeyError."""
+    ids = {r: i for i, r in enumerate(partition_index(size).parts)}
+    moves = [[ids[rgs_canonical([r[x] for x in g])] for r in ids]
+             for g in ((1, 0, *range(2, size)), (*range(1, size), 0))]
+    keys = [frozenset(ids[r] for r in system) for system in systems]
+    first: dict[frozenset, Optional[int]] = dict.fromkeys(keys)
+    for i, key in enumerate(keys):
+        if first[key] is None:
+            first[key] = i
+            orbit = [key]
+            for k in orbit:  # grows while walked, so breadth-first
+                for move in moves:
+                    image = frozenset(move[j] for j in k)
+                    if first[image] is None:
+                        first[image] = i
+                        orbit.append(image)
+    return [first[key] for key in keys]
+
+
 def check_theorem2(p: int, max_size: int) -> VerificationReport:
     """Exhaust candidate M_{p+1} atom systems on small carriers and count the
     Galois-closed ones: none may exist below carrier size 2p, and the regular
@@ -334,10 +349,14 @@ def check_theorem2(p: int, max_size: int) -> VerificationReport:
     for s in range(2, max_size + 1):
         # a closed system needs every *pairwise* join at the top already:
         # the closure contains pairwise joins, and a join of two distinct
-        # atoms can be neither bottom nor a third atom
+        # atoms can be neither bottom nor a third atom.  Closedness survives
+        # relabelling the carrier, so one Galois check per orbit decides all.
         n_candidates, pairwise_top = _atom_systems(s, k)
-        closed = [[list(r) for r in system] for system in pairwise_top
-                  if galois_is_closed(s, [Partition(r) for r in system])]
+        firsts = _orbit_firsts(s, pairwise_top)
+        verdict = {i: galois_is_closed(s, [Partition(r) for r in pairwise_top[i]])
+                   for i in set(firsts)}
+        closed = [[list(r) for r in system]
+                  for system, i in zip(pairwise_top, firsts) if verdict[i]]
         per_size.append({
             "size": s,
             "candidate_systems": n_candidates,

@@ -14,7 +14,9 @@ each found by numpy masks over the whole order.
 ``core`` intersects all conjugates of H, the definition of the kernel of G
 acting on the cosets of H.  ``atom_systems`` filters every k-set of proper
 partitions with ``itertools.combinations``, with no partition index and no
-clique search.
+clique search.  ``system_orbits`` relabels partition systems by all n!
+permutations from ``itertools.permutations``, with no generators and no
+search.
 """
 
 import functools
@@ -119,3 +121,24 @@ def atom_systems(size, k):
             out.append((system, all(rgs_join(a, b) == top for a, b
                                     in itertools.combinations(system, 2))))
     return tuple(out)
+
+
+def system_orbits(systems, n):
+    """The orbits of S_n, relabelling the carrier, on a list of partition
+    systems (tuples of RGS), as sets of frozensets in order of first member.
+    Each orbit holds the images of one system under all n! permutations."""
+
+    def relabel(rgs, perm):
+        first = {}
+        return tuple(first.setdefault(rgs[x], len(first)) for x in perm)
+
+    left = set(map(frozenset, systems))
+    orbits = []
+    for system in map(frozenset, systems):
+        if system in left:
+            orbit = {frozenset(relabel(r, perm) for r in system)
+                     for perm in itertools.permutations(range(n))}
+            assert orbit <= left, "the systems are not closed under S_n"
+            left -= orbit
+            orbits.append(orbit)
+    return orbits

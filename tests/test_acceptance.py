@@ -13,7 +13,8 @@ from contextlib import contextmanager
 from mnlab import (Partition, UnaryAlgebra, all_congruences, all_partitions,
                    all_subgroups, catalog, check_lemma, check_theorem1,
                    check_theorem2, congruences_oracle, coset_action, cosets,
-                   galois_closure, galois_is_closed, minimal_representation)
+                   galois_closure, galois_is_closed, minimal_representation,
+                   preserving_maps)
 from mnlab.cli import main
 from mnlab.congruence import _congruence_set
 from mnlab.partition import rgs_canonical, rgs_refines
@@ -136,13 +137,13 @@ def test_criterion_6_theorem2_p3():
         assert by_size[6]["closed_systems"] >= 1
         assert by_size[6]["candidate_systems"] == 718785
         # every reported closed system re-closes to itself
-        from mnlab.congruence import lattice_partitions
         for w in report.witnesses:
-            parts = [Partition(r) for r in w["system"]]
-            assert galois_is_closed(w["size"], parts)
-            closure = lattice_partitions(galois_closure(w["size"], parts))
-            reclosure = lattice_partitions(galois_closure(w["size"], closure))
-            assert {p.rgs for p in closure} == {p.rgs for p in reclosure}
+            size, parts = w["size"], [Partition(r) for r in w["system"]]
+            assert galois_is_closed(size, parts)
+            closure = _congruence_set(size, preserving_maps(size, parts))
+            reclosure = _congruence_set(size, preserving_maps(
+                size, [Partition(r) for r in closure]))
+            assert closure == reclosure
 
 
 def test_criterion_7_p2_boundary():

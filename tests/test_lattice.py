@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from mnlab import (FinLattice, NotALatticeError, UnaryAlgebra,
                    all_congruences, all_subgroups, chain, cyclic, gset_algebra,
                    iso_check, klein, m_n, regular_action, symmetric)
-from mnlab.congruence import lattice_partitions
+from mnlab.congruence import _congruence_set
 from mnlab.partition import rgs_join, rgs_meet
 
 from oracles import is_lattice, pair_has_join
@@ -148,7 +148,8 @@ class TestShape:
     @pytest.mark.parametrize("n", [4, 5])
     def test_meet_join_of_eq_n_are_partition_meet_join(self, n):
         L = all_congruences(UnaryAlgebra(n, ()))
-        rgs = [p.rgs for p in lattice_partitions(L)]
+        rgs = sorted(_congruence_set(n, ()))
+        assert L.labels == tuple(",".join(map(str, r)) for r in rgs)
         assert L.n == len(set(rgs)) == {4: 15, 5: 52}[n]
         for i in range(L.n):
             for j in range(L.n):

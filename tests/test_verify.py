@@ -1,20 +1,35 @@
 """Verification sweeps and their supporting enumeration machinery."""
 
+import functools
 import itertools
 import json
+from pathlib import Path
 
 import pytest
 
-from mnlab import (UnaryAlgebra, all_congruences, all_subgroups, check_lemma,
-                   check_theorem1, check_theorem2, congruences_oracle,
-                   gset_algebra, is_dihedral, minimal_representation,
-                   symmetric)
-from mnlab.congruence import lattice_partitions
+from mnlab import (Partition, UnaryAlgebra, all_congruences, all_subgroups,
+                   check_lemma, check_theorem1, check_theorem2,
+                   congruences_oracle, galois_is_closed, gset_algebra,
+                   is_dihedral, minimal_representation, symmetric)
+from mnlab.congruence import _congruence_set
 from mnlab.partition import rgs_join, rgs_meet, rgs_refines
 from mnlab.perm import _orbits, subgroup_records
-from mnlab.verify import _atom_systems, _mn_of
+from mnlab.verify import _atom_systems, _mn_of, _orbit_firsts
 
-from oracles import atom_systems, maximal_descent_closure, subgroups_bounded_gen
+from oracles import (atom_systems, maximal_descent_closure, subgroups_bounded_gen,
+                     system_orbits)
+
+# check_theorem2(3, 6).to_dict() without timing_ms, as written before the
+# sweep Galois-checked one system per orbit
+THEOREM2_P3_S6 = Path(__file__).parent / "data" / "theorem2_p3_s6.json"
+
+
+@functools.lru_cache(maxsize=None)
+def _theorem2_p3_s6() -> dict:
+    """One size-6 sweep, shared by the tests that read its report."""
+    report = check_theorem2(3, max_size=6).to_dict()
+    report.pop("timing_ms")
+    return report
 
 
 class TestEnumeration:
@@ -175,13 +190,51 @@ class TestTheorem2:
         want = set()
         for K in regular:
             L = all_congruences(gset_algebra(K))
-            parts = lattice_partitions(L)
-            want.add(frozenset(parts[a].rgs for a in L.atoms()))
+            rgs = sorted(_congruence_set(6, [g.images for g in K.generators]))
+            want.add(frozenset(rgs[a] for a in L.atoms()))
         assert len(want) == 20
-        report = check_theorem2(3, max_size=6)
-        got = [frozenset(map(tuple, w["system"])) for w in report.witnesses
-               if w["size"] == 6]
+        got = [frozenset(map(tuple, w["system"]))
+               for w in _theorem2_p3_s6()["witnesses"] if w["size"] == 6]
         assert len(got) == 20 and set(got) == want
+
+    def test_report_matches_the_recorded_one(self):
+        """Byte-identical to the report recorded when every pairwise-top
+        system was Galois-checked on its own: the counts
+        0/0/34/4850/718785 and the same 20 witnesses in the same order."""
+        recorded = THEOREM2_P3_S6.read_text()
+        # the dicts first: a failing compare of the whole texts diffs slowly
+        assert _theorem2_p3_s6() == json.loads(recorded)
+        assert json.dumps(_theorem2_p3_s6(), indent=2, sort_keys=True) + "\n" == recorded
+
+    @pytest.mark.parametrize("size,closed", [(5, 0), (6, 20)])
+    def test_orbit_verdict_is_the_direct_verdict(self, size, closed):
+        """The sweep gives each pairwise-top system the verdict of the first
+        system of its S_n orbit; that equals a Galois check on the system
+        itself, for every system."""
+        _, systems = _atom_systems(size, 4)
+        direct = [galois_is_closed(size, [Partition(r) for r in system])
+                  for system in systems]
+        assert [direct[i] for i in _orbit_firsts(size, systems)] == direct
+        assert sum(direct) == closed
+
+    @pytest.mark.parametrize("size,orbit_sizes", [
+        (5, [20, 20, 30]),
+        (6, [20, 30, 40, 120, 120, 180, 360, 360, 720, 720, 720]),
+    ])
+    def test_orbits_match_all_permutations(self, size, orbit_sizes):
+        """The breadth-first orbits under two generators equal the orbits
+        found by applying all n! relabellings to one system each."""
+        _, systems = _atom_systems(size, 4)
+        found: dict[int, set] = {}
+        for system, first in zip(systems, _orbit_firsts(size, systems)):
+            found.setdefault(first, set()).add(frozenset(system))
+        want = system_orbits(systems, size)
+        assert sorted(map(len, want)) == orbit_sizes
+        assert set(map(frozenset, found.values())) == set(map(frozenset, want))
+        if size == 6:
+            recorded = json.loads(THEOREM2_P3_S6.read_text())["witnesses"]
+            closed = {frozenset(map(tuple, w["system"])) for w in recorded}
+            assert closed in want
 
 
 class TestMinimalRepresentation:
