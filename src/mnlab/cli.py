@@ -18,6 +18,7 @@ from .congruence import (ORACLE_SIZE_BOUND, _congruence_set, all_congruences,
                          congruences_oracle)
 from .construct import GroupSpec, regular_action
 from .io import load_algebra, load_group, save_algebra, save_group
+from .lattice import FinLattice
 from .perm import DEFAULT_ORDER_BOUND, MAX_DEGREE, interval as subgroup_interval
 from .verify import (check_lemma, check_theorem1, check_theorem2,
                      minimal_representation)
@@ -35,16 +36,14 @@ def _emit(payload: dict, out: Optional[str]) -> None:
 
 
 def _cmd_group(args) -> int:
-    if args.action != "make":
-        raise UsageError(f"unknown group action {args.action!r}")
-    kind = args.kind  # one of the parser's choices
+    kind = args.kind  # action and kind are the parser's choices
     if kind == "klein":
         spec = GroupSpec("klein")
     elif kind == "product":
         if not (args.left and args.right):
             raise UsageError("--kind product requires --left and --right")
-        spec = GroupSpec("direct_product",
-                         factors=(_parse_factor(args.left), _parse_factor(args.right)))
+        spec = GroupSpec("direct_product", factors=(GroupSpec.parse(args.left),
+                                                    GroupSpec.parse(args.right)))
     else:
         flag = "m" if kind == "dihedral" else "n"
         if getattr(args, flag) is None:
@@ -55,45 +54,15 @@ def _cmd_group(args) -> int:
         raise UsageError(f"group order {order} exceeds bound {DEFAULT_ORDER_BOUND}")
     if args.regular and order > MAX_DEGREE:
         raise UsageError(f"regular action degree {order} exceeds bound {MAX_DEGREE}")
-    try:
-        G = spec.build()
-    except ValueError as exc:
-        raise UsageError(str(exc))
+    G = spec.build()
     if args.regular:
         G = regular_action(G)
-    name = args.name or _spec_name(spec, args.regular)
+    name = args.name or spec.name() + ("-regular" if args.regular else "")
     if args.out:
         save_group(G, args.out, name)
     print(json.dumps({"format": 1, "name": name, "degree": G.degree,
                       "order": G.order, "written": args.out}, sort_keys=True))
     return 0
-
-
-def _parse_factor(text: str) -> GroupSpec:
-    kind, _, param = text.partition(":")
-    if kind == "klein":
-        return GroupSpec("klein")
-    if kind in ("cyclic", "dihedral", "symmetric"):
-        try:
-            return GroupSpec(kind, int(param))
-        except ValueError:
-            raise UsageError(f"bad factor parameter in {text!r}")
-    raise UsageError(f"bad factor {text!r}; use kind:param, e.g. cyclic:3")
-
-
-def _spec_name(spec: GroupSpec, regular: bool) -> str:
-    if spec.kind == "cyclic":
-        base = f"Z{spec.n}"
-    elif spec.kind == "dihedral":
-        base = f"D{2 * spec.n}"
-    elif spec.kind == "symmetric":
-        base = f"S{spec.n}"
-    elif spec.kind == "klein":
-        base = "V4"
-    else:
-        a, b = spec.factors
-        base = f"{_spec_name(a, False)}x{_spec_name(b, False)}"
-    return base + ("-regular" if regular else "")
 
 
 def _cmd_con(args) -> int:
@@ -129,7 +98,6 @@ def _cmd_interval(args) -> int:
                          f" (degrees {H.degree}/{G.degree},"
                          f" orders {H.order}/{G.order})")
     members = subgroup_interval(G, H)
-    from .lattice import FinLattice
     L = FinLattice.from_inclusion([K._eset for K in members],
                                   [f"o{K.order}" for K in members])
     payload = {"format": 1,
@@ -154,8 +122,6 @@ def _cmd_verify(args) -> int:
         if args.p is None or args.max_size is None:
             raise UsageError("verify theorem2 requires --p and --max-size")
         report = check_theorem2(args.p, args.max_size)
-    else:
-        raise UsageError(f"unknown sweep {args.what!r}")
     _emit(report.to_dict(), args.out)
     return 0 if report.passed else 1
 
@@ -229,8 +195,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except (UsageError, FileNotFoundError, ValueError) as exc:
-        # FormatError and json.JSONDecodeError are ValueErrors
+    except (UsageError, OSError, ValueError) as exc:
+        # FormatError and json.JSONDecodeError are ValueErrors; OSError
+        # covers a missing file, a directory and an unreadable file
         print(f"mnlab: error: {exc}", file=sys.stderr)
         return 2
 

@@ -137,13 +137,13 @@ def _lattice_from_rgs(rgs_set: set[tuple[int, ...]]) -> FinLattice:
     return FinLattice.from_inclusion(related, labels)
 
 
-def all_congruences(A: UnaryAlgebra, max_size: int = CON_SIZE_BOUND) -> FinLattice:
+def all_congruences(A: UnaryAlgebra) -> FinLattice:
     """The congruence lattice of A, elements labelled by RGS: the principal
     congruences, closed by joining each congruence found with the principals
     only, as every congruence is a join of principal ones (R. Freese, Algebra
     Universalis 59, 2008).  Meets of congruences are congruences anyway."""
-    if A.size > max_size:
-        raise ValueError(f"carrier size {A.size} exceeds bound {max_size}")
+    if A.size > CON_SIZE_BOUND:
+        raise ValueError(f"carrier size {A.size} exceeds bound {CON_SIZE_BOUND}")
     return _lattice_from_rgs(_congruence_set(A.size, A.ops))
 
 

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
-from .perm import (DEFAULT_ORDER_BOUND, MAX_DEGREE, Perm, PermGroup, _compose,
+from .perm import (DEFAULT_ORDER_BOUND, MAX_DEGREE, Perm, PermGroup, _on_cosets,
                    _require_subgroup, _small_genset, group_closure)
 
 
@@ -84,17 +85,16 @@ def direct_product(G: PermGroup, H: PermGroup) -> PermGroup:
     return P
 
 
-def regular_action(G: PermGroup, max_order: int = DEFAULT_ORDER_BOUND) -> PermGroup:
-    """G acting on itself by left translation, on the canonical element order.
+def regular_action(G: PermGroup) -> PermGroup:
+    """G acting on itself by left translation, on the canonical element order:
+    the action on the cosets of the trivial subgroup.
 
     Faithful and transitive with trivial point stabilizers, degree |G|.
     """
-    if G.order > max_order:
-        raise ValueError(f"group order {G.order} exceeds bound {max_order}")
-    idx = {p._b: i for i, p in enumerate(G.elements)}
-    gens = [Perm([idx[_compose(g._b, x._b)] for x in G.elements])
-            for g in G.generators]
-    return group_closure(G.order, gens)
+    if G.order > DEFAULT_ORDER_BOUND:
+        raise ValueError(f"group order {G.order} exceeds bound {DEFAULT_ORDER_BOUND}")
+    return group_closure(G.order, _on_cosets(G, PermGroup.trivial(G.degree),
+                                             G.generators))
 
 
 class CosetAction(NamedTuple):
@@ -109,19 +109,10 @@ def coset_action(G: PermGroup, H: PermGroup) -> CosetAction:
     equals the core of H (the intersection of its conjugates), so the action
     is faithful exactly when H is core-free.
     """
-    from .perm import cosets as _cosets
     _require_subgroup(G, H)
-    cos = _cosets(G, H)
-    idx = {m._b: i for i, c in enumerate(cos) for m in c.members}
-    reps = [c.rep._b for c in cos]
-
-    def induced(b: bytes) -> tuple[int, ...]:
-        return tuple(idx[_compose(b, r)] for r in reps)
-
-    gens = [Perm(induced(g._b)) for g in G.generators]
-    action = group_closure(len(cos), gens)
-    ident = tuple(range(len(cos)))
-    kernel_eset = {p._b for p in G.elements if induced(p._b) == ident}
+    image = dict(zip(G.elements, _on_cosets(G, H, G.elements)))
+    action = group_closure(G.order // H.order, [image[g] for g in G.generators])
+    kernel_eset = {p._b for p, q in image.items() if q.is_identity()}
     kernel = PermGroup._from_eset(G.degree, kernel_eset,
                                   _small_genset(G.degree, kernel_eset))
     return CosetAction(action, kernel)
@@ -139,6 +130,9 @@ class GroupSpec:
     factors: tuple["GroupSpec", ...] = field(default=())
 
     def __post_init__(self):
+        if self.kind not in ("cyclic", "dihedral", "symmetric", "klein",
+                             "direct_product"):
+            raise ValueError(f"unknown kind {self.kind!r}")
         # n is a natural degree, so this also keeps n! cheap to compute
         if self.n is not None and not 1 <= self.n <= MAX_DEGREE:
             raise ValueError(f"parameter {self.n} must lie in 1..{MAX_DEGREE}")
@@ -149,14 +143,37 @@ class GroupSpec:
         if self.kind == "dihedral":
             return 2 * self.n
         if self.kind == "symmetric":
-            import math
             return math.factorial(self.n)
         if self.kind == "klein":
             return 4
-        if self.kind == "direct_product":
-            a, b = self.factors
-            return a.expected_order() * b.expected_order()
-        raise ValueError(f"unknown kind {self.kind!r}")
+        a, b = self.factors
+        return a.expected_order() * b.expected_order()
+
+    @classmethod
+    def parse(cls, text: str) -> "GroupSpec":
+        """A product factor written kind:param, e.g. "cyclic:3", or "klein"."""
+        kind, _, param = text.partition(":")
+        if kind == "klein":
+            return cls("klein")
+        if kind in ("cyclic", "dihedral", "symmetric"):
+            try:
+                return cls(kind, int(param))
+            except ValueError:
+                raise ValueError(f"bad factor parameter in {text!r}") from None
+        raise ValueError(f"bad factor {text!r}; use kind:param, e.g. cyclic:3")
+
+    def name(self) -> str:
+        """Short name, e.g. "D6" or "Z2xS3"."""
+        if self.kind == "cyclic":
+            return f"Z{self.n}"
+        if self.kind == "dihedral":
+            return f"D{2 * self.n}"
+        if self.kind == "symmetric":
+            return f"S{self.n}"
+        if self.kind == "klein":
+            return "V4"
+        a, b = self.factors
+        return f"{a.name()}x{b.name()}"
 
     def build(self) -> PermGroup:
         if self.kind == "cyclic":
@@ -167,11 +184,9 @@ class GroupSpec:
             G = symmetric(self.n)
         elif self.kind == "klein":
             G = klein()
-        elif self.kind == "direct_product":
+        else:
             a, b = self.factors
             G = direct_product(a.build(), b.build())
-        else:
-            raise ValueError(f"unknown kind {self.kind!r}")
         assert G.order == self.expected_order()
         return G
 

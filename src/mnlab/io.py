@@ -29,9 +29,18 @@ class FormatError(ValueError):
 
 
 def _check_format(data: dict, path: Pathish) -> None:
+    if not isinstance(data, dict):
+        raise FormatError(f"{path}: expected a JSON object, got {type(data).__name__}")
     version = data.get("format", FORMAT_VERSION)
     if version != FORMAT_VERSION:
         raise FormatError(f"{path}: unsupported format version {version!r}")
+
+
+def _int(x) -> int:
+    # json reads 2.7 as a float and true as a bool; int() would truncate them
+    if type(x) is not int:
+        raise TypeError(f"not an integer: {x!r}")
+    return x
 
 
 def group_to_dict(G: PermGroup, name: Optional[str] = None) -> dict:
@@ -48,8 +57,8 @@ def group_to_dict(G: PermGroup, name: Optional[str] = None) -> dict:
 def group_from_dict(data: dict, path: Pathish = "<group>") -> PermGroup:
     _check_format(data, path)
     try:
-        degree = int(data["degree"])
-        gens = [Perm(img) for img in data["generators"]]
+        degree = _int(data["degree"])
+        gens = [Perm(map(_int, img)) for img in data["generators"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad group file: {exc}") from exc
     try:
@@ -80,8 +89,8 @@ def algebra_to_dict(A: UnaryAlgebra) -> dict:
 def algebra_from_dict(data: dict, path: Pathish = "<algebra>") -> UnaryAlgebra:
     _check_format(data, path)
     try:
-        return UnaryAlgebra(int(data["size"]),
-                            tuple(tuple(op) for op in data["ops"]),
+        return UnaryAlgebra(_int(data["size"]),
+                            tuple(tuple(map(_int, op)) for op in data["ops"]),
                             data.get("name"))
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad algebra file: {exc}") from exc

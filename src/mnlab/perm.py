@@ -10,7 +10,6 @@ element set.
 
 from __future__ import annotations
 
-import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -207,10 +206,6 @@ class PermGroup:
     def order(self) -> int:
         return len(self.elements)
 
-    @property
-    def identity(self) -> Perm:
-        return self.elements[0]
-
     def key(self) -> tuple:
         """Canonical identity of the group: degree plus sorted element images."""
         return (self.degree, tuple(p._b for p in self.elements))
@@ -298,26 +293,6 @@ def _require_subgroup(G: PermGroup, H: PermGroup) -> None:
                          f"subgroup of G (order {G.order}, degree {G.degree})")
 
 
-def _cyclic_subgroup_records(G: PermGroup) -> dict[frozenset, tuple[bytes, ...]]:
-    """All cyclic subgroups of G as {element set: (generator,)}."""
-    degree = G.degree
-    ident = bytes(range(degree))
-    out: dict[frozenset, tuple[bytes, ...]] = {}
-    for p in G.elements:
-        g = p._b
-        if g == ident:
-            continue
-        elems = {ident, g}
-        x = _compose(g, g)
-        while x != ident:
-            elems.add(x)
-            x = _compose(x, g)
-        key = frozenset(elems)
-        if key not in out:
-            out[key] = (g,)
-    return out
-
-
 def _prime_power(n: int) -> Optional[int]:
     """The prime q with n = q**k for some k >= 1, or None.  So n is prime
     exactly when ``_prime_power(n) == n``."""
@@ -333,8 +308,7 @@ def _prime_power(n: int) -> Optional[int]:
     return n
 
 
-def subgroup_records(G: PermGroup, max_order: int = DEFAULT_ORDER_BOUND
-                     ) -> dict[frozenset, tuple[bytes, ...]]:
+def subgroup_records(G: PermGroup) -> dict[frozenset, tuple[bytes, ...]]:
     """Every subgroup of G as {element set: generators (image bytes)}.
 
     Seeds with all cyclic subgroups and closes under joins with the
@@ -346,8 +320,8 @@ def subgroup_records(G: PermGroup, max_order: int = DEFAULT_ORDER_BOUND
     cyclic subgroups form a conjugation-closed set, so the joins of a
     conjugate are the conjugates of the representative's joins.
     """
-    if G.order > max_order:
-        raise ValueError(f"group order {G.order} exceeds bound {max_order}")
+    if G.order > DEFAULT_ORDER_BOUND:
+        raise ValueError(f"group order {G.order} exceeds bound {DEFAULT_ORDER_BOUND}")
     degree = G.degree
     ident = bytes(range(degree))
     full_key = G._eset
@@ -383,9 +357,10 @@ def subgroup_records(G: PermGroup, max_order: int = DEFAULT_ORDER_BOUND
                         new.append((conj, subs[conj]))
             frontier = new
 
-    cyc = _cyclic_subgroup_records(G)
+    cyc: dict[frozenset, tuple[bytes, ...]] = {}
+    for p in G.elements[1:]:  # every nontrivial cyclic subgroup; identity is first
+        cyc.setdefault(frozenset(intern[x] for x in mulclose(degree, (p._b,))), (p._b,))
     for eset, gens in cyc.items():
-        eset = frozenset(intern[x] for x in eset)
         if eset not in subs:
             add_class(eset, gens)
     units = sorted(gens[0] for eset, gens in cyc.items()
@@ -403,21 +378,19 @@ def subgroup_records(G: PermGroup, max_order: int = DEFAULT_ORDER_BOUND
     return subs
 
 
-@functools.lru_cache(maxsize=None)
-def all_subgroups(G: PermGroup, max_order: int = DEFAULT_ORDER_BOUND) -> tuple[PermGroup, ...]:
+def all_subgroups(G: PermGroup) -> tuple[PermGroup, ...]:
     """Every subgroup of G (see subgroup_records), ordered by order, then by
     sorted element images."""
     groups = [PermGroup._from_eset(G.degree, eset, gens)
-              for eset, gens in subgroup_records(G, max_order).items()]
+              for eset, gens in subgroup_records(G).items()]
     groups.sort(key=lambda K: (K.order, K.key()))
     return tuple(groups)
 
 
-def interval(G: PermGroup, H: PermGroup,
-             max_order: int = DEFAULT_ORDER_BOUND) -> tuple[PermGroup, ...]:
+def interval(G: PermGroup, H: PermGroup) -> tuple[PermGroup, ...]:
     """All subgroups K with H <= K <= G, as a sublist of all_subgroups(G)."""
     _require_subgroup(G, H)
-    return tuple(K for K in all_subgroups(G, max_order) if H._eset <= K._eset)
+    return tuple(K for K in all_subgroups(G) if H._eset <= K._eset)
 
 
 @dataclass(frozen=True)
@@ -449,6 +422,21 @@ def cosets(G: PermGroup, H: PermGroup) -> list[Coset]:
     return out
 
 
+def _on_cosets(G: PermGroup, H: PermGroup, xs: Iterable[Perm]) -> list[Perm]:
+    """Each x of G acting on the left cosets of H by left multiplication, the
+    cosets numbered by least member in the order of ``cosets``."""
+    hs = [h._b for h in H.elements]
+    number: dict[bytes, int] = {}
+    reps: list[bytes] = []
+    for p in G.elements:  # ascending, so the first hit in a coset is its min
+        if p._b not in number:
+            t = _table(p._b)
+            for h in hs:
+                number[h.translate(t)] = len(reps)
+            reps.append(p._b)
+    return [Perm([number[_compose(x._b, r)] for r in reps]) for x in xs]
+
+
 def is_normal(G: PermGroup, H: PermGroup) -> bool:
     """True iff gHg^-1 = H for every generator g of G."""
     _require_subgroup(G, H)
@@ -464,12 +452,9 @@ def quotient(G: PermGroup, N: PermGroup) -> PermGroup:
     """G/N as the permutation group of G's generators acting on cosets of N."""
     if not is_normal(G, N):
         raise ValueError("N is not normal in G")
-    cos = cosets(G, N)
-    idx = {m._b: i for i, c in enumerate(cos) for m in c.members}
-    gen_perms = [Perm([idx[_compose(g._b, c.rep._b)] for c in cos])
-                 for g in G.generators]
-    Q = group_closure(len(cos), gen_perms)
-    assert Q.order == G.order // N.order
+    index = G.order // N.order
+    Q = group_closure(index, _on_cosets(G, N, G.generators))
+    assert Q.order == index
     return Q
 
 

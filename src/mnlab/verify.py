@@ -126,8 +126,7 @@ def check_lemma(max_order: int = 24) -> VerificationReport:
         n_groups += 1
         subs = all_subgroups(G)
         for H in subs:
-            iv = sorted((K for K in subs if H._eset <= K._eset),
-                        key=lambda K: (K.order, K.key()))
+            iv = [K for K in subs if H._eset <= K._eset]  # sorted, as subs is
             n_intervals += 1
             n = _mn_of(iv[1:-1], PermGroup.is_subgroup_of)  # H first, G last
             if n is None:
@@ -216,7 +215,6 @@ def check_theorem1(p: int, max_degree: Optional[int] = None) -> VerificationRepo
             notes.append(f"degree {d} excluded by the {PRIME_DEGREE_RULE}")
             continue
         bottom, top = tuple(range(d)), (0,) * d
-        # uncached: the records of S6 are not kept past this loop
         recs = subgroup_records(symmetric(d))
         stats = {"degree": d, "mode": "all-subgroups exhaustive",
                  "subgroups": len(recs), "transitive": 0}

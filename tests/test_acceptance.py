@@ -9,6 +9,7 @@ import json
 import random
 import time
 from contextlib import contextmanager
+from pathlib import Path
 
 from mnlab import (Partition, UnaryAlgebra, all_congruences, all_partitions,
                    all_subgroups, catalog, check_lemma, check_theorem1,
@@ -22,6 +23,10 @@ from mnlab.partition import rgs_canonical, rgs_refines
 from oracles import subgroups_bounded_gen
 
 RESULTS = []
+
+# check_theorem1(3).to_dict() without timing_ms, as written before the
+# group layer built every coset action through one function
+THEOREM1_P3 = Path(__file__).parent / "data" / "theorem1_p3.json"
 
 
 @contextmanager
@@ -125,6 +130,10 @@ def test_criterion_5_theorem1_p3_slow_tier():
         assert any("degree 7 excluded by the prime-degree rule" in note
                    for note in report.notes)
         assert not any("assum" in note.lower() for note in report.notes)
+        recorded = report.to_dict()
+        recorded.pop("timing_ms")
+        assert (json.dumps(recorded, indent=2, sort_keys=True) + "\n"
+                == THEOREM1_P3.read_text())
 
 
 def test_criterion_6_theorem2_p3():
@@ -202,15 +211,19 @@ def test_criterion_8_property_suites():
         for name, G in catalog(24):
             assert tuple(all_subgroups(G)) == subgroups_bounded_gen(G), name
 
-        # (d) partition lattice axioms, exhaustively through size 5
+        # (d) partition lattice axioms, exhaustively through size 5: each
+        # pair's & and | once, by index, then every identity from the tables
         for n in range(1, 6):
             parts = list(all_partitions(n))
-            for a, b in itertools.product(parts, repeat=2):
-                assert a & b == b & a and a | b == b | a
-                assert a & (a | b) == a and a | (a & b) == a
-            for a, b, c in itertools.product(parts, repeat=3):
-                assert (a & b) & c == a & (b & c)
-                assert (a | b) | c == a | (b | c)
+            ids = {a: i for i, a in enumerate(parts)}
+            meet = [[ids[a & b] for b in parts] for a in parts]
+            join = [[ids[a | b] for b in parts] for a in parts]
+            for a, b in itertools.product(range(len(parts)), repeat=2):
+                assert meet[a][b] == meet[b][a] and join[a][b] == join[b][a]
+                assert meet[a][join[a][b]] == a and join[a][meet[a][b]] == a
+            for a, b, c in itertools.product(range(len(parts)), repeat=3):
+                assert meet[meet[a][b]][c] == meet[a][meet[b][c]]
+                assert join[join[a][b]][c] == join[a][join[b][c]]
 
 
 def test_zzz_summary():

@@ -87,6 +87,22 @@ class TestWitnessAndCon:
         rc, _, err = run(["con", str(tmp_path / "nope.algebra")], capsys)
         assert rc == 2
 
+    def test_malformed_files_are_usage_errors(self, tmp_path, capsys):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps({"degree": 2, "generators": [[1, 0]]}))
+        bad = {"list": [1, 2], "null": None,
+               "float_op": {"size": 2, "ops": [[0, 1.5]]},
+               "float_size": {"size": 2.7, "ops": []}}
+        for name, data in bad.items():
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(data))
+            for argv in (["con", str(path)], ["interval", str(g), str(path)]):
+                rc, stdout, err = run(argv, capsys)
+                assert rc == 2 and stdout == "", (name, argv)
+                assert err.startswith("mnlab: error: ") and str(path) in err
+        rc, stdout, err = run(["con", str(tmp_path)], capsys)  # a directory
+        assert rc == 2 and stdout == "" and str(tmp_path) in err
+
     def test_con_oracle_size_cap(self, tmp_path, capsys):
         algebra = tmp_path / "big.algebra"
         rot12 = [(i + 1) % 12 for i in range(12)]

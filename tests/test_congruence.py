@@ -6,7 +6,7 @@ import random
 import pytest
 
 from mnlab import (Partition, UnaryAlgebra, all_congruences, all_partitions,
-                   all_subgroups, congruences_oracle, cyclic, dihedral,
+                   congruences_oracle, cyclic, dihedral,
                    galois_closure, galois_is_closed, gset_algebra, klein,
                    preserves, preserving_maps, principal_congruence,
                    regular_action, symmetric)
@@ -119,7 +119,7 @@ class TestAllCongruences:
 
     def test_size_bound(self):
         with pytest.raises(ValueError, match="exceeds bound"):
-            all_congruences(UnaryAlgebra(70, ()), max_size=64)
+            all_congruences(UnaryAlgebra(70, ()))
 
     def test_monotone_in_operations(self):
         rng = random.Random(11)
@@ -153,7 +153,7 @@ class TestOracle:
             A = UnaryAlgebra(size, ops)
             assert all_congruences(A) == congruences_oracle(A)
 
-    def test_block_systems_agree_with_sympy(self):
+    def test_block_systems_agree_with_sympy(self, symmetric_subgroups):
         """sympy's own block routines, on every transitive subgroup of S4,
         S5 and S6: primitive iff Con is the 2-element chain, and the minimal
         block systems are the atoms of Con."""
@@ -161,7 +161,7 @@ class TestOracle:
 
         transitive = {}
         for d in (4, 5, 6):
-            for K in all_subgroups(symmetric(d)):
+            for K in symmetric_subgroups(d):
                 G = PermutationGroup([Permutation(list(g.images))
                                       for g in K.generators] or [Permutation(d - 1)])
                 if not G.is_transitive():

@@ -160,6 +160,17 @@ class TestGroupSpec:
         with pytest.raises(ValueError, match="unknown kind"):
             GroupSpec("frobnicate").build()
 
+    def test_parse_and_name(self):
+        spec = GroupSpec("direct_product", factors=(GroupSpec.parse("dihedral:3"),
+                                                    GroupSpec.parse("klein")))
+        assert spec.name() == "D6xV4" and spec.expected_order() == 24
+        assert GroupSpec.parse("symmetric:4") == GroupSpec("symmetric", 4)
+        for text, message in (("cyclic:x", "bad factor parameter"),
+                              ("cyclic:300", "bad factor parameter"),
+                              ("bogus:3", "use kind:param")):
+            with pytest.raises(ValueError, match=message):
+                GroupSpec.parse(text)
+
     @pytest.mark.parametrize("n", [-5, 0, 257])
     def test_parameter_outside_degree_bound(self, n):
         # raised at construction, before expected_order computes n!

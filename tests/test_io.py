@@ -46,6 +46,33 @@ def test_rejects_malformed_algebra():
         algebra_from_dict({"size": 3, "ops": [[0, 9, 1]]})
 
 
+@pytest.mark.parametrize("data", [[1, 2], None, "group", 3])
+def test_rejects_non_object(data):
+    with pytest.raises(FormatError, match="expected a JSON object"):
+        group_from_dict(data)
+    with pytest.raises(FormatError, match="expected a JSON object"):
+        algebra_from_dict(data)
+
+
+@pytest.mark.parametrize("ops", [[[0, 1.5]], [[1.0, 0]], [[True, 0]]])
+def test_rejects_non_integer_op_entry(ops):
+    # each passes the range check 0 <= x < size
+    with pytest.raises(FormatError, match="bad algebra file: not an integer"):
+        algebra_from_dict({"size": 2, "ops": ops})
+
+
+def test_rejects_non_integer_size_and_degree():
+    with pytest.raises(FormatError, match="bad algebra file: not an integer: 2.7"):
+        algebra_from_dict({"size": 2.7, "ops": []})
+    with pytest.raises(FormatError, match="bad group file: not an integer: 2.7"):
+        group_from_dict({"degree": 2.7, "generators": []})
+    with pytest.raises(FormatError, match="bad group file: not an integer"):
+        group_from_dict({"degree": "3", "generators": []})
+    # a bool image passes the bijection check as 0 or 1
+    with pytest.raises(FormatError, match="bad group file: not an integer"):
+        group_from_dict({"degree": 2, "generators": [[True, False]]})
+
+
 def test_missing_format_field_accepted():
     A = algebra_from_dict({"size": 2, "ops": [[1, 0]]})
     assert A == UnaryAlgebra(2, ((1, 0),))

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import mnlab.perm
 from mnlab import (Perm, PermGroup, all_subgroups, cosets, cyclic, dihedral,
                    group_closure, interval, is_dihedral, is_normal, is_simple,
                    klein, quotient, regular_action, symmetric)
@@ -97,9 +98,10 @@ class TestSubgroups:
     def test_trivial_group(self):
         assert len(all_subgroups(PermGroup.trivial(2))) == 1
 
-    def test_order_bound(self):
+    def test_order_bound(self, monkeypatch):
+        monkeypatch.setattr(mnlab.perm, "DEFAULT_ORDER_BOUND", 100)
         with pytest.raises(ValueError, match="exceeds bound"):
-            all_subgroups(symmetric(5), max_order=100)
+            all_subgroups(symmetric(5))
 
     @pytest.mark.parametrize("G", [symmetric(3), symmetric(4), dihedral(4),
                                    dihedral(6), regular_action(cyclic(8))])

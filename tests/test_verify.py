@@ -1,6 +1,7 @@
 """Verification sweeps and their supporting enumeration machinery."""
 
 import functools
+import hashlib
 import itertools
 import json
 from pathlib import Path
@@ -13,7 +14,7 @@ from mnlab import (Partition, UnaryAlgebra, all_congruences, all_subgroups,
                    is_dihedral, minimal_representation, symmetric)
 from mnlab.congruence import _congruence_set
 from mnlab.partition import rgs_join, rgs_meet, rgs_refines
-from mnlab.perm import _orbits, subgroup_records
+from mnlab.perm import _orbits
 from mnlab.verify import _atom_systems, _mn_of, _orbit_firsts
 
 from oracles import (atom_systems, maximal_descent_closure, subgroups_bounded_gen,
@@ -22,6 +23,9 @@ from oracles import (atom_systems, maximal_descent_closure, subgroups_bounded_ge
 # check_theorem2(3, 6).to_dict() without timing_ms, as written before the
 # sweep Galois-checked one system per orbit
 THEOREM2_P3_S6 = Path(__file__).parent / "data" / "theorem2_p3_s6.json"
+# SHA-256 of json.dumps(check_lemma(48).to_dict() without timing_ms,
+# indent=2, sort_keys=True); the 279 KB report itself is not kept
+LEMMA_48_SHA256 = Path(__file__).parent / "data" / "lemma_48.sha256"
 
 
 @functools.lru_cache(maxsize=None)
@@ -34,17 +38,17 @@ def _theorem2_p3_s6() -> dict:
 
 class TestEnumeration:
     @pytest.mark.parametrize("d,count", [(2, 2), (3, 6), (4, 30)])
-    def test_conjugacy_expanded_matches_plain(self, d, count):
+    def test_conjugacy_expanded_matches_plain(self, d, count, symmetric_subgroups):
         """The conjugacy-expanded enumerator against the plain closure of
         up to three cyclic subgroups."""
-        subs = all_subgroups(symmetric(d))
+        subs = symmetric_subgroups(d)
         assert subs == subgroups_bounded_gen(symmetric(d))
         assert len(subs) == count
 
     @pytest.mark.parametrize("d,count", [(5, 156), (6, 1455)])
-    def test_published_subgroup_counts(self, d, count):
+    def test_published_subgroup_counts(self, d, count, symmetric_subgroups):
         """Subgroup counts of S5 and S6 from OEIS A005432."""
-        assert len(subgroup_records(symmetric(d))) == count
+        assert len(symmetric_subgroups(d)) == count
 
     def test_bounded_gen_oracle_spot_checks(self):
         from mnlab import cyclic, dihedral, quaternion, alternating
@@ -96,6 +100,14 @@ class TestLemmaSweep:
         with pytest.raises(ValueError, match="exceeds bound"):
             check_lemma(max_order=49)
 
+    def test_report_48_matches_the_recorded_digest(self):
+        report = check_lemma(max_order=48).to_dict()
+        report.pop("timing_ms")
+        text = json.dumps(report, indent=2, sort_keys=True)
+        assert report["counterexamples"] == [] and report["status"] == "PASS"
+        assert (hashlib.sha256(text.encode()).hexdigest()
+                == LEMMA_48_SHA256.read_text().strip())
+
     def test_report_json_deterministic_up_to_timing(self):
         a = check_lemma(max_order=6).to_dict()
         b = check_lemma(max_order=6).to_dict()
@@ -121,13 +133,13 @@ class TestTheorem1:
             check_theorem1(2, max_degree=6)
 
     @pytest.mark.parametrize("d,transitive", [(2, 1), (3, 2), (5, 20)])
-    def test_prime_degree_rule(self, d, transitive):
+    def test_prime_degree_rule(self, d, transitive, symmetric_subgroups):
         """The rule that excludes degree 7, checked by enumeration at the
         smaller primes: every transitive subgroup of S_d has exactly two
         congruences, by the brute-force partition filter over all of K's
         elements."""
         found = 0
-        for K in all_subgroups(symmetric(d)):
+        for K in symmetric_subgroups(d):
             if {g(0) for g in K} == set(range(d)):
                 found += 1
                 A = UnaryAlgebra(d, tuple(g.images for g in K))
@@ -179,11 +191,11 @@ class TestTheorem2:
         assert (len(want), len(top)) == (4850, 70)
         assert _atom_systems(5, 4) == (4850, top)
 
-    def test_closed_systems_are_the_regular_dihedral_congruences(self):
+    def test_closed_systems_are_the_regular_dihedral_congruences(self, symmetric_subgroups):
         """The 20 closed size-6 systems are exactly the atom sets of
         Con(K) over the 20 regular subgroups K of S6 that are dihedral of
         order 6."""
-        regular = [K for K in all_subgroups(symmetric(6))
+        regular = [K for K in symmetric_subgroups(6)
                    if K.order == 6 and {g(0) for g in K} == set(range(6))
                    and is_dihedral(K) == 3]
         assert len(regular) == 20
