@@ -112,8 +112,13 @@ def _cmd_interval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    unread = {"lemma": ("--p", "--max-size"), "theorem1": ("--max-size", "--max-order"),
+              "theorem2": ("--max-order",)}[args.what]
+    for flag in unread:
+        if getattr(args, flag[2:].replace("-", "_")) is not None:
+            raise UsageError(f"verify {args.what} does not read {flag}")
     if args.what == "lemma":
-        report = check_lemma(max_order=args.max_order)
+        report = check_lemma(24 if args.max_order is None else args.max_order)
     elif args.what == "theorem1":
         if args.p is None:
             raise UsageError("verify theorem1 requires --p")
@@ -173,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     v = sub.add_parser("verify", help="run a verification sweep")
     v.add_argument("what", choices=["lemma", "theorem1", "theorem2"])
-    v.add_argument("--max-order", type=int, default=24)
+    v.add_argument("--max-order", type=int, help="lemma only; default 24")
     v.add_argument("--p", type=int)
     v.add_argument("--max-size", type=int)
     v.add_argument("--out")
@@ -196,8 +201,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         return args.func(args)
     except (UsageError, OSError, ValueError) as exc:
-        # FormatError and json.JSONDecodeError are ValueErrors; OSError
-        # covers a missing file, a directory and an unreadable file
+        # FormatError is a ValueError; OSError covers a missing file, a
+        # directory and an unreadable file
         print(f"mnlab: error: {exc}", file=sys.stderr)
         return 2
 

@@ -36,6 +36,13 @@ def _check_format(data: dict, path: Pathish) -> None:
         raise FormatError(f"{path}: unsupported format version {version!r}")
 
 
+def _read_json(path: Pathish):
+    try:
+        return json.loads(Path(path).read_text())
+    except ValueError as exc:  # not JSON, or not text
+        raise FormatError(f"{path}: not a JSON file: {exc}") from exc
+
+
 def _int(x) -> int:
     # json reads 2.7 as a float and true as a bool; int() would truncate them
     if type(x) is not int:
@@ -72,7 +79,7 @@ def save_group(G: PermGroup, path: Pathish, name: Optional[str] = None) -> None:
 
 
 def load_group(path: Pathish) -> PermGroup:
-    return group_from_dict(json.loads(Path(path).read_text()), path)
+    return group_from_dict(_read_json(path), path)
 
 
 def algebra_to_dict(A: UnaryAlgebra) -> dict:
@@ -101,4 +108,4 @@ def save_algebra(A: UnaryAlgebra, path: Pathish) -> None:
 
 
 def load_algebra(path: Pathish) -> UnaryAlgebra:
-    return algebra_from_dict(json.loads(Path(path).read_text()), path)
+    return algebra_from_dict(_read_json(path), path)

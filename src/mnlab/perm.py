@@ -241,9 +241,9 @@ class PermGroup:
         return len(self.orbits()) == 1
 
 
-def _orbits(degree: int, gens: Iterable[bytes]) -> list[tuple[int, ...]]:
+def _orbits(degree: int, gens: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
     """Orbits on {0..degree-1} of the group generated by ``gens`` (image
-    bytes), each sorted, in order of least point."""
+    bytes or lists), each sorted, in order of least point."""
     parent = list(range(degree))
 
     def find(x):
@@ -311,14 +311,17 @@ def _prime_power(n: int) -> Optional[int]:
 def subgroup_records(G: PermGroup) -> dict[frozenset, tuple[bytes, ...]]:
     """Every subgroup of G as {element set: generators (image bytes)}.
 
-    Seeds with all cyclic subgroups and closes under joins with the
-    prime-power cyclic subgroups until no new subgroup appears; that fixed
-    point holds every subgroup, because each is the join of the prime-power
-    cyclic subgroups it contains.  Joins are computed for one representative
-    per conjugacy class: when a subgroup is found, its whole class is filled
-    in by conjugating breadth-first under G's generators.  The prime-power
-    cyclic subgroups form a conjugation-closed set, so the joins of a
-    conjugate are the conjugates of the representative's joins.
+    Closes the cyclic subgroups under joins with the prime-power cyclic
+    subgroups, each named by its unit (least generator); the fixed point holds
+    every subgroup, each being the join of those it contains.  Joins are made
+    for one representative H per conjugacy class, and the class is filled in
+    by conjugating breadth-first under G's generators.  H is joined only with
+    the least unit of each orbit of the units under conjugation by N_G(H),
+    since <H, n.g.n^-1> = n.<H, g>.n^-1 for n in N_G(H) (Neubüser's cyclic
+    extension method; Holt, Eick and O'Brien, Handbook of Computational Group
+    Theory, 2005).  N_G(H) is G when G's generators normalize H; otherwise it
+    is generated by H's generators and the elements of G that normalize H
+    and are not yet generated when reached.
     """
     if G.order > DEFAULT_ORDER_BOUND:
         raise ValueError(f"group order {G.order} exceeds bound {DEFAULT_ORDER_BOUND}")
@@ -330,11 +333,15 @@ def subgroup_records(G: PermGroup) -> dict[frozenset, tuple[bytes, ...]]:
         (p for p in range(2, G.order + 1) if G.order % p == 0), default=1)
     # one shared bytes object per element keeps the element sets small
     intern = {b: b for b in full_key}
-    # (table of c, inverse of c) per generator c: c.y.c^-1 = (c.y) composed c^-1
-    conj_by = [(_table(c._b), _inverse(c._b)) for c in G.generators]
+    # (table of c, inverse of c) per element c: c.y.c^-1 = (c.y) composed c^-1
+    conj_of = {p._b: (_table(p._b), _inverse(p._b)) for p in G.elements}
+    conj_by = [conj_of[c._b] for c in G.generators]
 
     def conjugate(xs: Iterable[bytes], tc: bytes, cinv: bytes) -> tuple[bytes, ...]:
         return tuple(intern[cinv.translate(_table(y.translate(tc)))] for y in xs)
+
+    def normalizes(tc: bytes, cinv: bytes, eset: frozenset, gens: tuple) -> bool:
+        return all(cinv.translate(_table(h.translate(tc))) in eset for h in gens)
 
     subs: dict[frozenset, tuple[bytes, ...]] = {
         full_key: tuple(g._b for g in G.generators),
@@ -358,17 +365,36 @@ def subgroup_records(G: PermGroup) -> dict[frozenset, tuple[bytes, ...]]:
             frontier = new
 
     cyc: dict[frozenset, tuple[bytes, ...]] = {}
+    unit_of: dict[bytes, bytes] = {}  # x -> the least generator of <x>
     for p in G.elements[1:]:  # every nontrivial cyclic subgroup; identity is first
-        cyc.setdefault(frozenset(intern[x] for x in mulclose(degree, (p._b,))), (p._b,))
+        eset = frozenset(intern[x] for x in mulclose(degree, (p._b,)))
+        unit_of[p._b] = cyc.setdefault(eset, (p._b,))[0]
     for eset, gens in cyc.items():
         if eset not in subs:
             add_class(eset, gens)
     units = sorted(gens[0] for eset, gens in cyc.items()
                    if _prime_power(len(eset)) is not None)
+    index = {u: i for i, u in enumerate(units)}
 
+    def orbit_firsts(conj: list[tuple[bytes, bytes]]) -> list[bytes]:
+        """The least unit of each orbit of the units under conjugation."""
+        moved = [[index[unit_of[cinv.translate(_table(u.translate(tc)))]]
+                  for u in units] for tc, cinv in conj]
+        return [units[orbit[0]] for orbit in _orbits(len(units), moved)]
+
+    g_firsts = orbit_firsts(conj_by)
     while reps:
         eset, gens = reps.popleft()
-        for g in units:
+        if all(normalizes(*c, eset, gens) for c in conj_by):
+            firsts = g_firsts  # H is normal: N_G(H) = G
+        else:  # H's generators, then each element of N_G(H) not yet generated
+            ngens, got = list(gens), eset
+            for x, c in conj_of.items():
+                if x not in got and normalizes(*c, eset, gens):
+                    ngens.append(x)
+                    got = mulclose(degree, ngens, seed=got)
+            firsts = orbit_firsts([conj_of[x] for x in ngens])
+        for g in firsts:
             if g in eset:
                 continue
             res = mulclose(degree, gens + (g,), seed=eset, stop_above=largest_proper)

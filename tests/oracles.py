@@ -5,7 +5,8 @@ three cyclic subgroups.  For groups of order <= 24 this is complete: any
 proper subgroup has order <= 12, and every group of order <= 12 is generated
 by at most three elements (the extreme case is the rank-3 elementary abelian
 2-group of order 8).  The full group is seeded explicitly since it may need
-more generators.
+more generators.  ``subgroups_join_closure`` has no order bound: it closes
+the cyclic subgroups under joins with a cyclic subgroup.
 
 ``is_lattice`` is the all-pairs reference check of a finite order: unique
 bottom and top, and a greatest lower and a least upper bound for every pair,
@@ -49,6 +50,29 @@ def subgroups_bounded_gen(G, max_gens=3):
     for k in range(1, max_gens + 1):
         for combo in itertools.combinations(gens_list, k):
             found.add(frozenset(mulclose(G.degree, combo)))
+    groups = [PermGroup._from_eset(G.degree, eset) for eset in found]
+    groups.sort(key=lambda K: (K.order, K.key()))
+    return tuple(groups)
+
+
+def subgroups_join_closure(G):
+    """All subgroups of G: the cyclic subgroups closed under joins with a
+    cyclic subgroup, until nothing new appears.  Complete for every order,
+    since each subgroup is the join of the cyclic subgroups it contains; no
+    conjugacy, normalizer or prime-power reduction."""
+    cyc = cyclic_subgroups(G)
+    found = {frozenset({bytes(range(G.degree))}): ()}
+    found.update((eset, (g,)) for eset, g in cyc.items())
+    work = list(found.items())
+    while work:
+        eset, gens = work.pop()
+        for cset, g in cyc.items():
+            if not cset <= eset:
+                ext = gens + (g,)
+                join = frozenset(mulclose(G.degree, ext, seed=eset))
+                if join not in found:
+                    found[join] = ext
+                    work.append((join, ext))
     groups = [PermGroup._from_eset(G.degree, eset) for eset in found]
     groups.sort(key=lambda K: (K.order, K.key()))
     return tuple(groups)

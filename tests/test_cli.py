@@ -3,8 +3,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 from mnlab.cli import main
+
+THEOREM1_P3 = Path(__file__).parent / "data" / "theorem1_p3.json"
 
 
 def run(argv, capsys):
@@ -102,6 +105,14 @@ class TestWitnessAndCon:
                 assert err.startswith("mnlab: error: ") and str(path) in err
         rc, stdout, err = run(["con", str(tmp_path)], capsys)  # a directory
         assert rc == 2 and stdout == "" and str(tmp_path) in err
+        # not JSON at all: an empty file and a truncated one
+        for name, text in (("empty", ""), ("truncated", '{"size": 2, "ops": [[0')):
+            path = tmp_path / f"{name}.json"
+            path.write_text(text)
+            for argv in (["con", str(path)], ["interval", str(g), str(path)]):
+                rc, stdout, err = run(argv, capsys)
+                assert rc == 2 and stdout == "", (name, argv)
+                assert err.startswith("mnlab: error: ") and str(path) in err
 
     def test_con_oracle_size_cap(self, tmp_path, capsys):
         algebra = tmp_path / "big.algebra"
@@ -160,7 +171,28 @@ class TestVerify:
 
     def test_theorem1_p3_needs_no_flag(self, capsys):
         rc, stdout, _ = run(["verify", "theorem1", "--p", "3"], capsys)
-        assert rc == 0 and json.loads(stdout)["status"] == "PASS"
+        assert rc == 0
+        data = json.loads(stdout)
+        data.pop("timing_ms")
+        assert (json.dumps(data, indent=2, sort_keys=True) + "\n"
+                == THEOREM1_P3.read_text())
+
+    def test_flags_the_sweep_does_not_read_are_usage_errors(self, capsys):
+        for argv, flag in ((["lemma", "--p", "3"], "--p"),
+                           (["lemma", "--max-size", "4"], "--max-size"),
+                           (["theorem1", "--p", "3", "--max-size", "4"],
+                            "--max-size"),
+                           (["theorem1", "--p", "3", "--max-order", "24"],
+                            "--max-order"),
+                           (["theorem2", "--p", "3", "--max-size", "4",
+                             "--max-order", "24"], "--max-order")):
+            rc, stdout, err = run(["verify", *argv], capsys)
+            assert rc == 2 and stdout == "", argv
+            assert err.startswith("mnlab: error: ") and flag in err, argv
+
+    def test_lemma_max_order_defaults_to_24(self, capsys):
+        rc, stdout, _ = run(["verify", "lemma"], capsys)
+        assert rc == 0 and json.loads(stdout)["params"] == {"max_order": 24}
 
     def test_theorem2_small(self, capsys):
         rc, stdout, _ = run(["verify", "theorem2", "--p", "3",

@@ -5,12 +5,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mnlab.perm
-from mnlab import (Perm, PermGroup, all_subgroups, cosets, cyclic, dihedral,
-                   group_closure, interval, is_dihedral, is_normal, is_simple,
-                   klein, quotient, regular_action, symmetric)
+from mnlab import (Perm, PermGroup, all_subgroups, catalog, cosets, cyclic,
+                   dihedral, group_closure, interval, is_dihedral, is_normal,
+                   is_simple, klein, quotient, regular_action, symmetric)
 from mnlab.perm import mulclose
 
-from oracles import core
+from oracles import core, subgroups_join_closure
 
 perms = st.integers(2, 6).flatmap(
     lambda d: st.permutations(range(d)).map(Perm))
@@ -108,6 +108,14 @@ class TestSubgroups:
     def test_lagrange(self, G):
         for H in all_subgroups(G):
             assert G.order % H.order == 0
+
+    def test_join_closure_oracle_above_order_24(self):
+        """The catalog groups the bounded-generation oracle cannot cover,
+        and S5, whose subgroups are mostly not normal."""
+        big = [(name, G) for name, G in catalog(48) if G.order > 24]
+        assert len(big) == 110
+        for name, G in big + [("S5", symmetric(5))]:
+            assert all_subgroups(G) == subgroups_join_closure(G), name
 
     def test_join_is_least_upper_bound(self):
         """The closure of A and B is among the enumerated subgroups and lies
