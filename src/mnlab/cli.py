@@ -37,13 +37,24 @@ def _emit(payload: dict, out: Optional[str]) -> None:
 
 def _cmd_group(args) -> int:
     kind = args.kind  # action and kind are the parser's choices
+    unread = {"cyclic": ("m", "left", "right"), "symmetric": ("m", "left", "right"),
+              "dihedral": ("n", "left", "right"), "klein": ("n", "m", "left", "right"),
+              "product": ("n", "m")}[kind]
+    for flag in unread:
+        if getattr(args, flag) is not None:
+            raise UsageError(f"group make --kind {kind} does not read --{flag}")
     if kind == "klein":
         spec = GroupSpec("klein")
     elif kind == "product":
         if not (args.left and args.right):
             raise UsageError("--kind product requires --left and --right")
-        spec = GroupSpec("direct_product", factors=(GroupSpec.parse(args.left),
-                                                    GroupSpec.parse(args.right)))
+        factors = []
+        for flag in ("left", "right"):
+            try:
+                factors.append(GroupSpec.parse(getattr(args, flag)))
+            except ValueError as exc:
+                raise UsageError(f"--{flag}: {exc}") from None
+        spec = GroupSpec("direct_product", factors=tuple(factors))
     else:
         flag = "m" if kind == "dihedral" else "n"
         if getattr(args, flag) is None:

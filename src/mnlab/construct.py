@@ -152,15 +152,16 @@ class GroupSpec:
     @classmethod
     def parse(cls, text: str) -> "GroupSpec":
         """A product factor written kind:param, e.g. "cyclic:3", or "klein"."""
-        kind, _, param = text.partition(":")
-        if kind == "klein":
+        if text == "klein":
             return cls("klein")
+        kind, _, param = text.partition(":")
         if kind in ("cyclic", "dihedral", "symmetric"):
             try:
                 return cls(kind, int(param))
             except ValueError:
                 raise ValueError(f"bad factor parameter in {text!r}") from None
-        raise ValueError(f"bad factor {text!r}; use kind:param, e.g. cyclic:3")
+        raise ValueError(f"bad factor {text!r}; use kind:param, e.g. cyclic:3,"
+                         " or klein")
 
     def name(self) -> str:
         """Short name, e.g. "D6" or "Z2xS3"."""

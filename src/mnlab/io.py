@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Optional, Union
 
 from .congruence import UnaryAlgebra
-from .perm import Perm, PermGroup, group_closure
+from .perm import DEFAULT_ORDER_BOUND, MAX_DEGREE, Perm, PermGroup, mulclose
 
 FORMAT_VERSION = 1
 
@@ -65,13 +65,20 @@ def group_from_dict(data: dict, path: Pathish = "<group>") -> PermGroup:
     _check_format(data, path)
     try:
         degree = _int(data["degree"])
-        gens = [Perm(map(_int, img)) for img in data["generators"]]
+        gens = [Perm(map(_int, img))._b for img in data["generators"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad group file: {exc}") from exc
-    try:
-        return group_closure(degree, gens)
-    except ValueError as exc:
-        raise FormatError(f"{path}: {exc}") from exc
+    if not 1 <= degree <= MAX_DEGREE:
+        raise FormatError(f"{path}: degree {degree} outside 1..{MAX_DEGREE}")
+    for g in gens:
+        if len(g) != degree:
+            raise FormatError(f"{path}: degree mismatch: generator {list(g)}"
+                              f" has degree {len(g)}, expected {degree}")
+    # bounded, so a large group is refused before it fills memory
+    eset = mulclose(degree, gens, stop_above=DEFAULT_ORDER_BOUND)
+    if eset is None:
+        raise FormatError(f"{path}: group order exceeds bound {DEFAULT_ORDER_BOUND}")
+    return PermGroup._from_eset(degree, eset, gens)
 
 
 def save_group(G: PermGroup, path: Pathish, name: Optional[str] = None) -> None:
@@ -95,6 +102,8 @@ def algebra_to_dict(A: UnaryAlgebra) -> dict:
 
 def algebra_from_dict(data: dict, path: Pathish = "<algebra>") -> UnaryAlgebra:
     _check_format(data, path)
+    if not isinstance(data.get("name", ""), str):
+        raise FormatError(f"{path}: name must be a string, got {data['name']!r}")
     try:
         return UnaryAlgebra(_int(data["size"]),
                             tuple(tuple(map(_int, op)) for op in data["ops"]),

@@ -505,12 +505,3 @@ def is_dihedral(G: PermGroup) -> Optional[int]:
                 return m
     return None
 
-
-def is_simple(G: PermGroup) -> bool:
-    """True iff the only normal subgroups are the trivial group and G."""
-    if G.order == 1:
-        raise ValueError("simplicity is undefined for the trivial group")
-    for H in all_subgroups(G):
-        if 1 < H.order < G.order and is_normal(G, H):
-            return False
-    return True

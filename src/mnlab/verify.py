@@ -13,16 +13,15 @@ from __future__ import annotations
 import hashlib
 import time
 from dataclasses import dataclass, field
-from typing import Optional
 
 from .congruence import (UnaryAlgebra, _congruence_set, all_congruences,
                          galois_is_closed, gset_algebra)
 from .construct import catalog, dihedral, regular_action, symmetric
 from .lattice import FinLattice, _mn_of
 from .partition import Partition, partition_index, rgs_canonical, rgs_refines
-from .perm import (PermGroup, _orbits, _order_of, _prime_power, _small_genset,
-                   all_subgroups, is_dihedral, is_normal, is_simple, mulclose,
-                   quotient, subgroup_records)
+from .perm import (PermGroup, _orbits, _prime_power, _small_genset,
+                   all_subgroups, is_dihedral, is_normal, quotient,
+                   subgroup_records)
 
 LEMMA_ORDER_BOUND = 48
 THEOREM1_ENUM_DEGREE = 6
@@ -36,45 +35,6 @@ PRIME_DEGREE_RULE = (
 def _subgroup_key(H: PermGroup) -> str:
     digest = hashlib.sha1(b"|".join(p._b for p in H.elements)).hexdigest()[:10]
     return f"o{H.order}:{digest}"
-
-
-@dataclass
-class LemmaFinding:
-    """One hypothesis-satisfying (group, subgroup) pair and its conclusions."""
-
-    group: str
-    subgroup_key: str
-    subgroup_order: int
-    n: int
-    index: int
-    h_normal: bool
-    quotient_dihedral_m: Optional[int]
-    n_eq_p_plus_1: bool
-    two_index2_intermediates: bool
-    rotation_simple: bool
-
-    @property
-    def ok(self) -> bool:
-        return (self.h_normal and self.quotient_dihedral_m is not None
-                and self.n_eq_p_plus_1 and self.two_index2_intermediates
-                and self.rotation_simple)
-
-    def to_dict(self) -> dict:
-        return {
-            "group": self.group,
-            "subgroup_key": self.subgroup_key,
-            "subgroup_order": self.subgroup_order,
-            "n": self.n,
-            "index": self.index,
-            "conclusions": {
-                "h_normal": self.h_normal,
-                "quotient_dihedral_m": self.quotient_dihedral_m,
-                "n_eq_p_plus_1": self.n_eq_p_plus_1,
-                "two_index2_intermediates": self.two_index2_intermediates,
-                "rotation_simple": self.rotation_simple,
-            },
-            "ok": self.ok,
-        }
 
 
 @dataclass
@@ -113,14 +73,16 @@ class VerificationReport:
 def check_lemma(max_order: int = 24) -> VerificationReport:
     """Sweep every catalog group and subgroup for M_n-shaped intervals with
     index below 2n, and check: the subgroup is normal, the quotient is
-    dihedral of order 2m with m prime and n = m + 1, at least two intermediate
-    subgroups have index 2, and the quotient's rotation subgroup is simple."""
+    dihedral of order 2m with m prime and n = m + 1, and at least two
+    intermediate subgroups have index 2.  Each finding is a dict; it also
+    reports whether the quotient's rotation subgroup is simple, which for a
+    cyclic group of order m means m is prime."""
     if max_order > LEMMA_ORDER_BOUND:
         raise ValueError(f"max_order {max_order} exceeds bound {LEMMA_ORDER_BOUND}")
     if max_order < 1:
         raise ValueError(f"max_order must be at least 1, got {max_order}")
     t0 = time.perf_counter()
-    findings: list[LemmaFinding] = []
+    findings = []
     n_groups = n_intervals = n_mn = n_skipped = 0
     for name, G in catalog(max_order):
         n_groups += 1
@@ -137,38 +99,31 @@ def check_lemma(max_order: int = 24) -> VerificationReport:
                 n_skipped += 1
                 continue
             h_normal = is_normal(G, H)
-            m = None
-            rotation_simple = False
-            if h_normal:
-                Q = quotient(G, H)
-                m = is_dihedral(Q)
-                if m is not None:
-                    rot_gen = min(p._b for p in Q.elements if _order_of(p._b) == m)
-                    powers = mulclose(Q.degree, (rot_gen,))
-                    R = PermGroup._from_eset(Q.degree, powers, (rot_gen,))
-                    rotation_simple = is_simple(R) and _prime_power(R.order) == R.order
-            two_index2 = sum(1 for K in iv[1:-1]
-                             if K.order == 2 * H.order) >= 2
-            findings.append(LemmaFinding(
-                group=name,
-                subgroup_key=_subgroup_key(H),
-                subgroup_order=H.order,
-                n=n,
-                index=index,
-                h_normal=h_normal,
-                quotient_dihedral_m=m,
-                n_eq_p_plus_1=(m is not None and _prime_power(m) == m and n == m + 1),
-                two_index2_intermediates=two_index2,
-                rotation_simple=rotation_simple,
-            ))
-    findings.sort(key=lambda f: (f.group, f.subgroup_key))
-    bad = [f.to_dict() for f in findings if not f.ok]
-    report = VerificationReport(
+            m = is_dihedral(quotient(G, H)) if h_normal else None
+            # the rotations form a cyclic group of order m: simple iff m is prime
+            m_prime = m is not None and _prime_power(m) == m
+            n_eq = m_prime and n == m + 1
+            two_index2 = sum(1 for K in iv[1:-1] if K.order == 2 * H.order) >= 2
+            findings.append({
+                "group": name,
+                "subgroup_key": _subgroup_key(H),
+                "subgroup_order": H.order,
+                "n": n,
+                "index": index,
+                "conclusions": {"h_normal": h_normal, "quotient_dihedral_m": m,
+                                "n_eq_p_plus_1": n_eq,
+                                "two_index2_intermediates": two_index2,
+                                "rotation_simple": m_prime},
+                "ok": h_normal and n_eq and two_index2,
+            })
+    findings.sort(key=lambda f: (f["group"], f["subgroup_key"]))
+    bad = [f for f in findings if not f["ok"]]
+    return VerificationReport(
         sweep="lemma",
         params={"max_order": max_order},
         status="PASS" if findings and not bad else "FAIL",
-        findings=[f.to_dict() for f in findings],
-        witnesses=[f.to_dict() for f in findings if f.ok],
+        findings=findings,
+        witnesses=[f for f in findings if f["ok"]],
         counterexamples=bad,
         counts={
             "groups": n_groups,
@@ -181,10 +136,9 @@ def check_lemma(max_order: int = 24) -> VerificationReport:
                " not all finite groups"],
         timing_ms=(time.perf_counter() - t0) * 1e3,
     )
-    return report
 
 
-def check_theorem1(p: int, max_degree: Optional[int] = None) -> VerificationReport:
+def check_theorem1(p: int) -> VerificationReport:
     """Sweep transitive subgroups of small symmetric groups and check that
     every one whose natural-action congruence lattice is M_{p+1} is the
     regular dihedral action of order 2p.
@@ -196,17 +150,13 @@ def check_theorem1(p: int, max_degree: Optional[int] = None) -> VerificationRepo
     """
     if p not in (2, 3):
         raise ValueError(f"unsupported p = {p}; only p in {{2, 3}} is implemented")
-    if max_degree is None:
-        max_degree = 2 * p + 1
-    if not 1 <= max_degree < 2 * (p + 1):
-        raise ValueError(f"max_degree must lie in 1..{2 * p + 1}")
     t0 = time.perf_counter()
     target = p + 1
     per_degree = []
     witnesses = []
     counterexamples = []
     notes = []
-    for d in range(1, max_degree + 1):
+    for d in range(1, 2 * p + 2):
         if d > THEOREM1_ENUM_DEGREE:
             if _prime_power(d) != d:
                 raise ValueError(f"degree {d} is neither enumerated nor prime")
@@ -247,7 +197,7 @@ def check_theorem1(p: int, max_degree: Optional[int] = None) -> VerificationRepo
     status = "PASS" if total_hits >= 1 and not counterexamples else "FAIL"
     return VerificationReport(
         sweep="theorem1",
-        params={"p": p, "max_degree": max_degree},
+        params={"p": p, "max_degree": 2 * p + 1},
         status=status,
         findings=per_degree,
         witnesses=witnesses,
@@ -309,25 +259,18 @@ def _atom_systems(size: int, k: int) -> tuple[int, list[tuple]]:
 
 def _orbit_firsts(size: int, systems: list[tuple]) -> list[int]:
     """For each system, the position of the first system in its orbit under
-    S_size, which relabels the carrier: a breadth-first search on interned
-    partition ids under the transposition (0 1) and the size-cycle.  The list
-    must be S_size-invariant; an image outside it raises KeyError."""
+    S_size, which relabels the carrier: perm._orbits on positions in the
+    list, under the transposition (0 1) and the size-cycle.  The list must be
+    S_size-invariant; an image outside it raises KeyError."""
     ids = {r: i for i, r in enumerate(partition_index(size).parts)}
-    moves = [[ids[rgs_canonical([r[x] for x in g])] for r in ids]
-             for g in ((1, 0, *range(2, size)), (*range(1, size), 0))]
     keys = [frozenset(ids[r] for r in system) for system in systems]
-    first: dict[frozenset, Optional[int]] = dict.fromkeys(keys)
-    for i, key in enumerate(keys):
-        if first[key] is None:
-            first[key] = i
-            orbit = [key]
-            for k in orbit:  # grows while walked, so breadth-first
-                for move in moves:
-                    image = frozenset(move[j] for j in k)
-                    if first[image] is None:
-                        first[image] = i
-                        orbit.append(image)
-    return [first[key] for key in keys]
+    pos = {key: i for i, key in enumerate(keys)}
+    moves = []
+    for g in ((1, 0, *range(2, size)), (*range(1, size), 0)):
+        move = [ids[rgs_canonical([r[x] for x in g])] for r in ids]
+        moves.append([pos[frozenset(move[j] for j in key)] for key in keys])
+    first = {i: orbit[0] for orbit in _orbits(len(systems), moves) for i in orbit}
+    return [first[i] for i in range(len(systems))]
 
 
 def check_theorem2(p: int, max_size: int) -> VerificationReport:

@@ -13,11 +13,12 @@ bottom and top, and a greatest lower and a least upper bound for every pair,
 each found by numpy masks over the whole order.
 
 ``core`` intersects all conjugates of H, the definition of the kernel of G
-acting on the cosets of H.  ``atom_systems`` filters every k-set of proper
-partitions with ``itertools.combinations``, with no partition index and no
-clique search.  ``system_orbits`` relabels partition systems by all n!
-permutations from ``itertools.permutations``, with no generators and no
-search.
+acting on the cosets of H.  ``is_simple`` looks for a proper nontrivial
+subgroup of ``subgroups_join_closure`` that equals its own core.
+``atom_systems`` filters every k-set of proper partitions with
+``itertools.combinations``, with no partition index and no clique search.
+``system_orbits`` relabels partition systems by all n! permutations from
+``itertools.permutations``, with no generators and no search.
 """
 
 import functools
@@ -126,6 +127,14 @@ def core(G, H):
         gb, gi = g._b, _inverse(g._b)
         cur &= {_compose(_compose(gb, h), gi) for h in H._eset}
     return PermGroup._from_eset(G.degree, cur)
+
+
+def is_simple(G):
+    """True iff the only normal subgroups of G are the trivial group and G."""
+    if G.order == 1:
+        raise ValueError("simplicity is undefined for the trivial group")
+    return not any(1 < H.order < G.order and core(G, H) == H
+                   for H in subgroups_join_closure(G))
 
 
 @functools.lru_cache(maxsize=None)

@@ -56,6 +56,15 @@ class TestGroupMake:
             rc, stdout, err = run(["group", "make", *argv], capsys)
             assert rc == 2 and stdout == "" and "256" in err
 
+    def test_flags_the_kind_does_not_read_are_usage_errors(self, capsys):
+        for argv, flag in ((["--kind", "klein", "--n", "5"], "--n"),
+                           (["--kind", "cyclic", "--n", "3", "--m", "7",
+                             "--left", "x"], "--m"),
+                           (["--kind", "product", "--left", "klein:9",
+                             "--right", "cyclic:2"], "--left")):
+            rc, stdout, err = run(["group", "make", *argv], capsys)
+            assert rc == 2 and stdout == "" and flag in err, argv
+
     def test_unknown_flag_is_an_error(self, capsys):
         rc, _, _ = run(["group", "make", "--kind", "dihedral", "--m", "3",
                         "--frobnicate"], capsys)
@@ -95,7 +104,8 @@ class TestWitnessAndCon:
         g.write_text(json.dumps({"degree": 2, "generators": [[1, 0]]}))
         bad = {"list": [1, 2], "null": None,
                "float_op": {"size": 2, "ops": [[0, 1.5]]},
-               "float_size": {"size": 2.7, "ops": []}}
+               "float_size": {"size": 2.7, "ops": []},
+               "int_name": {"size": 2, "ops": [], "name": 5}}
         for name, data in bad.items():
             path = tmp_path / f"{name}.json"
             path.write_text(json.dumps(data))
@@ -138,6 +148,22 @@ class TestInterval:
         data = json.loads(stdout)
         assert data["lattice"]["shape"] == "M_n" and data["lattice"]["n"] == 4
         assert data["interval"]["index"] == 6
+
+    def test_group_file_bounds_are_usage_errors(self, tmp_path, capsys):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps({"degree": 2, "generators": [[1, 0]]}))
+        s8 = {"degree": 8, "generators": [[1, 0, 2, 3, 4, 5, 6, 7],
+                                          [1, 2, 3, 4, 5, 6, 7, 0]]}
+        for name, data, bound in (("negative", {"degree": -1, "generators": []}, "256"),
+                                  ("wide", {"degree": 300, "generators": []}, "256"),
+                                  ("s8", s8, "5040")):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps(data))
+            for argv in (["interval", str(path), str(g)],
+                         ["interval", str(g), str(path)]):
+                rc, stdout, err = run(argv, capsys)
+                assert rc == 2 and stdout == "", (name, argv)
+                assert str(path) in err and bound in err, (name, argv)
 
     def test_not_a_subgroup_names_input(self, tmp_path, capsys):
         g, h = tmp_path / "g.json", tmp_path / "h.json"

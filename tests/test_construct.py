@@ -167,7 +167,8 @@ class TestGroupSpec:
         assert GroupSpec.parse("symmetric:4") == GroupSpec("symmetric", 4)
         for text, message in (("cyclic:x", "bad factor parameter"),
                               ("cyclic:300", "bad factor parameter"),
-                              ("bogus:3", "use kind:param")):
+                              ("bogus:3", "use kind:param"),
+                              ("klein:9", "use kind:param")):
             with pytest.raises(ValueError, match=message):
                 GroupSpec.parse(text)
 

@@ -76,3 +76,26 @@ def test_rejects_non_integer_size_and_degree():
 def test_missing_format_field_accepted():
     A = algebra_from_dict({"size": 2, "ops": [[1, 0]]})
     assert A == UnaryAlgebra(2, ((1, 0),))
+
+
+@pytest.mark.parametrize("degree", [-1, 0, 257, 300])
+def test_rejects_degree_outside_bound(degree):
+    with pytest.raises(FormatError, match=r"g\.json: degree .* outside 1\.\.256"):
+        group_from_dict({"degree": degree, "generators": []}, "g.json")
+
+
+def test_rejects_group_above_order_bound():
+    # S8: 40,320 elements, refused once the closure passes 5040
+    s8 = {"degree": 8, "generators": [[1, 0, 2, 3, 4, 5, 6, 7],
+                                      [1, 2, 3, 4, 5, 6, 7, 0]]}
+    with pytest.raises(FormatError, match="g.json: group order exceeds bound 5040"):
+        group_from_dict(s8, "g.json")
+    s7 = {"degree": 7, "generators": [[1, 0, 2, 3, 4, 5, 6],
+                                      [1, 2, 3, 4, 5, 6, 0]]}
+    assert group_from_dict(s7).order == 5040
+
+
+@pytest.mark.parametrize("name", [5, [1], None, {"a": 1}])
+def test_rejects_non_string_algebra_name(name):
+    with pytest.raises(FormatError, match="a.json: name must be a string"):
+        algebra_from_dict({"size": 2, "ops": [[1, 0]], "name": name}, "a.json")

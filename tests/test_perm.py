@@ -7,10 +7,10 @@ from hypothesis import strategies as st
 import mnlab.perm
 from mnlab import (Perm, PermGroup, all_subgroups, catalog, cosets, cyclic,
                    dihedral, group_closure, interval, is_dihedral, is_normal,
-                   is_simple, klein, quotient, regular_action, symmetric)
+                   klein, quotient, regular_action, symmetric)
 from mnlab.perm import mulclose
 
-from oracles import core, subgroups_join_closure
+from oracles import core, is_simple, subgroups_join_closure
 
 perms = st.integers(2, 6).flatmap(
     lambda d: st.permutations(range(d)).map(Perm))

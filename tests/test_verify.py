@@ -8,17 +8,18 @@ from pathlib import Path
 
 import pytest
 
-from mnlab import (Partition, UnaryAlgebra, all_congruences, all_subgroups,
-                   check_lemma, check_theorem1, check_theorem2,
-                   congruences_oracle, galois_is_closed, gset_algebra,
-                   is_dihedral, minimal_representation, symmetric)
+from mnlab import (Partition, PermGroup, UnaryAlgebra, all_congruences,
+                   all_subgroups, catalog, check_lemma, check_theorem1,
+                   check_theorem2, congruences_oracle, galois_is_closed,
+                   gset_algebra, is_dihedral, minimal_representation, quotient,
+                   symmetric)
 from mnlab.congruence import _congruence_set
 from mnlab.partition import rgs_join, rgs_meet, rgs_refines
-from mnlab.perm import _orbits
-from mnlab.verify import _atom_systems, _mn_of, _orbit_firsts
+from mnlab.perm import _orbits, mulclose
+from mnlab.verify import _atom_systems, _mn_of, _orbit_firsts, _subgroup_key
 
-from oracles import (atom_systems, maximal_descent_closure, subgroups_bounded_gen,
-                     system_orbits)
+from oracles import (atom_systems, is_simple, maximal_descent_closure,
+                     subgroups_bounded_gen, system_orbits)
 
 # check_theorem2(3, 6).to_dict() without timing_ms, as written before the
 # sweep Galois-checked one system per orbit
@@ -108,6 +109,28 @@ class TestLemmaSweep:
         assert (hashlib.sha256(text.encode()).hexdigest()
                 == LEMMA_48_SHA256.read_text().strip())
 
+    def test_rotation_simple_by_the_simplicity_oracle(self):
+        """rotation_simple, read from m alone, is the brute-force simplicity
+        of Q's rotation subgroup: the cyclic group generated by the least
+        element of order m in Q = G/H."""
+        report = check_lemma(max_order=48)
+        groups = dict(catalog(48))
+        subgroups = {}
+        visited = 0
+        for f in report.findings:
+            G = groups[f["group"]]
+            if f["group"] not in subgroups:
+                subgroups[f["group"]] = {_subgroup_key(K): K
+                                         for K in all_subgroups(G)}
+            Q = quotient(G, subgroups[f["group"]][f["subgroup_key"]])
+            m = f["conclusions"]["quotient_dihedral_m"]
+            rot = min(g._b for g in Q if g.order() == m)
+            R = PermGroup._from_eset(Q.degree, mulclose(Q.degree, (rot,)))
+            assert R.order == m
+            assert is_simple(R) == f["conclusions"]["rotation_simple"]
+            visited += 1
+        assert visited == report.counts["hypothesis_hits"] == 398
+
     def test_report_json_deterministic_up_to_timing(self):
         a = check_lemma(max_order=6).to_dict()
         b = check_lemma(max_order=6).to_dict()
@@ -117,7 +140,8 @@ class TestLemmaSweep:
 
 class TestTheorem1:
     def test_p2_degree_up_to_4_finds_the_klein_hit(self):
-        report = check_theorem1(2, max_degree=4)
+        # degrees 1..5 are swept; the one hit is the regular Klein group
+        report = check_theorem1(2)
         assert report.status == "PASS"
         assert len(report.witnesses) == 1
         w = report.witnesses[0]
@@ -127,10 +151,6 @@ class TestTheorem1:
     def test_unsupported_p(self):
         with pytest.raises(ValueError, match="unsupported"):
             check_theorem1(5)
-
-    def test_max_degree_validation(self):
-        with pytest.raises(ValueError):
-            check_theorem1(2, max_degree=6)
 
     @pytest.mark.parametrize("d,transitive", [(2, 1), (3, 2), (5, 20)])
     def test_prime_degree_rule(self, d, transitive, symmetric_subgroups):
@@ -234,8 +254,8 @@ class TestTheorem2:
         (6, [20, 30, 40, 120, 120, 180, 360, 360, 720, 720, 720]),
     ])
     def test_orbits_match_all_permutations(self, size, orbit_sizes):
-        """The breadth-first orbits under two generators equal the orbits
-        found by applying all n! relabellings to one system each."""
+        """The orbits under two generators equal the orbits found by
+        applying all n! relabellings to one system each."""
         _, systems = _atom_systems(size, 4)
         found: dict[int, set] = {}
         for system, first in zip(systems, _orbit_firsts(size, systems)):
