@@ -7,10 +7,13 @@ This canonical form is the sole equality key and serialization.
 For carriers of up to INDEX_SIZE_BOUND points, ``partition_index(n)`` interns
 every partition of an n-set by its position in ``all_rgs(n)`` order, so the
 top (all zeros) is id 0 and the bottom (all singletons) is the last id.  The
-index holds each partition's pair relation as a bitmask, one bit per pair
-x < y, so meet is ``&`` (disjoint relations meet at the bottom) and
-refinement is a subset test, and a Bell(n)-by-Bell(n) join table of ids.  It
-is built on first use for each n and kept for the life of the process.
+index holds two bitmasks per partition.  Its pair relation has one bit per
+pair x < y, so meet is ``&`` (disjoint relations meet at the bottom).  Its
+coatom mask has one bit per two-block partition above it.  Every partition
+but the top is the meet of its coatoms, so a join is the top exactly when
+the coatom masks are disjoint, and a join's coatom mask is their ``&``.
+Either mask decides refinement by a subset test.  The index is built on
+first use for each n and kept for the life of the process.
 """
 
 from __future__ import annotations
@@ -136,7 +139,7 @@ class PartitionIndex:
 
     parts: tuple[tuple[int, ...], ...]   # id -> RGS
     rel: tuple[int, ...]                 # id -> pair-relation bitmask
-    join: tuple[tuple[int, ...], ...]    # join[i][j] = id of the join
+    co: tuple[int, ...]                  # id -> bitmask of coatoms above it
 
     top = 0  # all_rgs(n) starts with the all-zero RGS
 
@@ -151,13 +154,11 @@ def partition_index(n: int) -> PartitionIndex:
     if not 0 <= n <= INDEX_SIZE_BOUND:
         raise ValueError(f"carrier size {n} outside 0..{INDEX_SIZE_BOUND}")
     parts = tuple(all_rgs(n))
-    ids = {r: i for i, r in enumerate(parts)}
     rel = tuple(_pair_relation(r) for r in parts)
-    join = [[i] * len(parts) for i in range(len(parts))]
-    for i, a in enumerate(parts):
-        for j in range(i + 1, len(parts)):
-            join[i][j] = join[j][i] = ids[rgs_join(a, parts[j])]
-    return PartitionIndex(parts, rel, tuple(map(tuple, join)))
+    coatoms = [rc for r, rc in zip(parts, rel) if max(r, default=0) == 1]
+    co = tuple(sum(1 << c for c, rc in enumerate(coatoms) if not ri & ~rc)
+               for ri in rel)
+    return PartitionIndex(parts, rel, co)
 
 
 class Partition:
@@ -170,10 +171,6 @@ class Partition:
         if not rgs_is_valid(rgs):
             raise ValueError(f"not a restricted-growth string: {rgs!r}")
         self.rgs = rgs
-
-    @classmethod
-    def from_labels(cls, labels: Sequence[int]) -> "Partition":
-        return cls(rgs_canonical(labels))
 
     @classmethod
     def bottom(cls, size: int) -> "Partition":

@@ -215,46 +215,57 @@ def _atom_systems(size: int, k: int) -> tuple[int, list[tuple]]:
     joint join top, and list the ones whose pairwise joins are all the top,
     as tuples of RGS in lexicographic order.
 
-    A clique search on interned partition ids: one edge mask marks pairs whose
-    meet is bottom (disjoint pair relations), a second marks pairs whose join
-    is top, and the running joint join is a join-table lookup.  The last
-    level is counted as a mask; only its pairwise-top members are listed.
+    A clique search on interned partition ids, for k >= 2.  Meet is bottom
+    when pair relations are disjoint; the running joint join is carried as
+    its coatom mask, and a join is top when coatom masks are disjoint.  The
+    last level is counted as a mask; only its pairwise-top members are listed.
     """
     ix = partition_index(size)
-    parts, rel, join, top = ix.parts, ix.rel, ix.join, ix.top
+    parts, rel, co = ix.parts, ix.rel, ix.co
     proper = range(1, ix.bottom)
-    # tops[i]: every j with join(i, j) top; later[i]: proper j > i whose
-    # meet with i is bottom
-    tops = [sum(1 << j for j, x in enumerate(row) if x == top) for row in join]
-    later = [0] * len(parts)
-    for i in proper:
-        later[i] = sum(1 << j for j in proper if j > i and not rel[i] & rel[j])
+    full = sum(1 << i for i in proper)
+    # apart[i]: proper ids whose meet with i is bottom; below[c]: proper ids
+    # that refine coatom c; tops[m]: proper ids below none of the coatoms in
+    # m, so joining a partition of coatom mask m to the top
+    apart = [sum(1 << j for j in proper if not r & rel[j]) for r in rel]
+    below = [sum(1 << i for i in proper if co[i] >> c & 1)
+             for c in range(co[ix.bottom].bit_length())]
+    tops = {}
+    for m in co:
+        under = 0
+        for c, ids in enumerate(below):
+            if m >> c & 1:
+                under |= ids
+        tops[m] = full & ~under
     pairwise_top = []
 
     def search(cand: int, joined: int, ptop: int, chosen: tuple) -> int:
         # cand holds the proper ids above the last chosen, meet-disjoint from
-        # all chosen; ptop the ids pairwise-top with all chosen, 0 once a
-        # chosen pair is not
-        if len(chosen) == k - 1:
-            cand &= tops[joined]
-            done = cand & ptop
-            while done:
-                low = done & -done
-                done ^= low
-                pairwise_top.append((*chosen, parts[low.bit_length() - 1]))
-            return cand.bit_count()
+        # all chosen; joined the coatom mask of their join; ptop the ids
+        # pairwise-top with all chosen, 0 once a chosen pair is not
         count = 0
+        last_level = len(chosen) == k - 2
         while cand:
             low = cand & -cand
             cand ^= low
             i = low.bit_length() - 1
-            count += search(cand & later[i], join[joined][i],
-                            ptop & tops[i] if ptop & low else 0,
-                            (*chosen, parts[i]))
+            nxt = cand & apart[i]
+            ptop_i = ptop & tops[co[i]] if ptop & low else 0
+            mask = joined & co[i]
+            if not last_level:
+                count += search(nxt, mask, ptop_i, (*chosen, parts[i]))
+                continue
+            nxt &= tops[mask]
+            count += nxt.bit_count()
+            done = nxt & ptop_i
+            while done:
+                bit = done & -done
+                done ^= bit
+                pairwise_top.append((*chosen, parts[i],
+                                     parts[bit.bit_length() - 1]))
         return count
 
-    full = sum(1 << i for i in proper)
-    return search(full, ix.bottom, full, ()), pairwise_top
+    return search(full, co[ix.bottom], full, ()), pairwise_top
 
 
 def _orbit_firsts(size: int, systems: list[tuple]) -> list[int]:

@@ -1,0 +1,162 @@
+"""Mutation sweep over the theorem-2 search in src/mnlab/verify.py.
+
+Run by hand from the root of a checkout (pytest does not collect this file):
+
+    python tests/mutants.py                  # every mutant, in a temp dir
+    python tests/mutants.py --list           # print the mutants, run nothing
+    python tests/mutants.py --workdir DIR    # put the mutated copy in DIR
+
+Each mutant is one small edit of one function named in FUNCTIONS: a
+comparison flipped, ``and``/``or`` or ``&``/``|`` swapped, one term of a
+boolean dropped, a ``not`` dropped, or an integer constant 1 or 2 moved by
+one.  The sweep copies ``src/``, ``tests/`` and ``pyproject.toml`` into a
+work directory, writes each mutant there in turn and runs the tests named in
+TESTS against it; the checkout itself is never written.  A mutant survives
+when every test passes.  Each child process gets a time limit and an
+address-space limit, since a mutant can loop or grow a list for ever; either
+limit counts as a kill.
+
+Survivors that cannot be killed are listed in EQUIVALENT with the reason.
+The exit status is 0 when every survivor is listed there, 1 otherwise.
+Uses the standard library only.
+"""
+
+from __future__ import annotations
+
+import argparse
+import ast
+import os
+import resource
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+MODULE = Path("src/mnlab/verify.py")
+FUNCTIONS = ("_atom_systems", "_orbit_firsts", "check_theorem2")
+TESTS = ("tests/test_verify.py::TestTheorem2",
+         "tests/test_partition.py::TestPartitionIndex",
+         "tests/test_cli.py")
+MEMORY_BYTES = 2 << 30
+
+FLIP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
+        ast.Eq: ast.NotEq, ast.NotEq: ast.Eq, ast.Is: ast.IsNot,
+        ast.IsNot: ast.Is, ast.In: ast.NotIn, ast.NotIn: ast.In}
+SWAP = {ast.And: ast.Or, ast.Or: ast.And, ast.BitAnd: ast.BitOr,
+        ast.BitOr: ast.BitAnd}
+
+# mutant label -> why no test can kill it
+EQUIVALENT = {
+    "_atom_systems:+12:19 -1: 1 -> 0":
+        "`proper` then takes in the top (id 0), whose pair relation meets every"
+        " other partition's: apart[0] is 0 and no apart[j] holds 0, so the top"
+        " opens one empty branch at the first level and is never a candidate",
+}
+
+
+def _edits(node: ast.AST):
+    """(description, edit) pairs for one node; edit changes it in place."""
+    if isinstance(node, ast.Compare):
+        for k, op in enumerate(node.ops):
+            if type(op) in FLIP:
+                yield (f"op {k} flipped",
+                       lambda n, k=k: n.ops.__setitem__(k, FLIP[type(n.ops[k])]()))
+    if type(getattr(node, "op", None)) in SWAP:  # BoolOp, BinOp, AugAssign
+        yield "op swapped", lambda n: setattr(n, "op", SWAP[type(n.op)]())
+    if isinstance(node, ast.BoolOp):
+        for k in range(len(node.values)):
+            yield f"term {k} dropped", lambda n, k=k: n.values.pop(k)
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not):
+        # +x has the truth value of x for the ints and bools negated here
+        yield "not dropped", lambda n: setattr(n, "op", ast.UAdd())
+    if (isinstance(node, ast.Constant) and type(node.value) is int
+            and node.value in (1, 2)):
+        for d in (-1, 1):
+            yield f"{d:+d}", lambda n, d=d: setattr(n, "value", n.value + d)
+
+
+def _functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
+    return {f.name: f for f in tree.body
+            if isinstance(f, ast.FunctionDef) and f.name in FUNCTIONS}
+
+
+def mutants(source: str):
+    """(label, mutated module source) for every mutant of `source`."""
+    tree = ast.parse(source)
+    for name, func in _functions(tree).items():
+        for index, node in enumerate(ast.walk(func)):
+            for k, (what, _) in enumerate(_edits(node)):
+                copy = ast.parse(source)
+                target = list(ast.walk(_functions(copy)[name]))[index]
+                before = ast.unparse(target)
+                list(_edits(target))[k][1](target)
+                label = (f"{name}:+{node.lineno - func.lineno}:{node.col_offset}"
+                         f" {what}: {before} -> {ast.unparse(target)}")
+                yield label, ast.unparse(copy)
+
+
+def _limit_memory() -> None:
+    resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
+
+
+def run_tests(work: Path, timeout: float) -> str:
+    """'pass', 'fail' or 'timeout' for the tests in TESTS under `work`."""
+    env = dict(os.environ, PYTHONPATH=str(work / "src"),
+               PYTHONDONTWRITEBYTECODE="1")
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+             *TESTS], cwd=work, env=env, stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL, timeout=timeout, preexec_fn=_limit_memory)
+    except subprocess.TimeoutExpired:
+        return "timeout"
+    return "pass" if proc.returncode == 0 else "fail"
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--workdir", type=Path,
+                    help="directory for the mutated copy (default: a temp dir)")
+    ap.add_argument("--list", action="store_true",
+                    help="print the mutant labels and exit")
+    args = ap.parse_args()
+    source = (ROOT / MODULE).read_text()
+    found = list(mutants(source))
+    if args.list:
+        print("\n".join(label for label, _ in found))
+        return 0
+
+    with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
+        work = Path(tmp)
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, work / part)
+        shutil.copy(ROOT / "pyproject.toml", work)
+        target = work / MODULE
+        # the unmutated round trip through ast.unparse must pass
+        target.write_text(ast.unparse(ast.parse(source)))
+        t0 = time.perf_counter()
+        if run_tests(work, timeout=600) != "pass":
+            print("the unmutated module fails its tests", file=sys.stderr)
+            return 2
+        timeout = 5 * (time.perf_counter() - t0) + 10
+        survivors = []
+        for n, (label, text) in enumerate(found, 1):
+            target.write_text(text)
+            outcome = run_tests(work, timeout)
+            print(f"[{n}/{len(found)}] {outcome:7} {label}", flush=True)
+            if outcome == "pass":
+                survivors.append(label)
+
+    unlisted = [s for s in survivors if s not in EQUIVALENT]
+    print(f"\n{len(found)} mutants, {len(survivors)} survived,"
+          f" {len(unlisted)} not listed as equivalent")
+    for label in survivors:
+        print(f"  {label}\n    {EQUIVALENT.get(label, 'NOT LISTED')}")
+    return 1 if unlisted else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

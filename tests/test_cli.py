@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from mnlab import verify
 from mnlab.cli import main
 
 THEOREM1_P3 = Path(__file__).parent / "data" / "theorem1_p3.json"
@@ -226,6 +227,21 @@ class TestVerify:
         assert rc == 0
         data = json.loads(stdout)
         assert data["status"] == "PASS"
+
+    def test_failing_sweeps_exit_1(self, monkeypatch, capsys):
+        """Fault injection through the CLI: each broken conjunct turns the
+        report to FAIL and the exit code to 1."""
+        real = verify.galois_is_closed
+        theorem2 = ["verify", "theorem2", "--p", "3", "--max-size", "6"]
+        for name, fake, argv in (
+                ("galois_is_closed", lambda n, atoms: n == 5 or real(n, atoms),
+                 theorem2),
+                ("galois_is_closed", lambda n, atoms: False, theorem2),
+                ("is_normal", lambda G, H: False, ["verify", "lemma"])):
+            with monkeypatch.context() as m:
+                m.setattr(verify, name, fake)
+                rc, stdout, _ = run(argv, capsys)
+            assert rc == 1 and json.loads(stdout)["status"] == "FAIL", name
 
     def test_theorem2_rejects_p5(self, capsys):
         rc, _, err = run(["verify", "theorem2", "--p", "5",

@@ -7,8 +7,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mnlab import Partition, all_partitions, bell_number
-from mnlab.partition import (all_rgs, partition_index, rgs_join, rgs_meet,
-                             rgs_refines)
+from mnlab.partition import (all_rgs, partition_index, rgs_canonical,
+                             rgs_join, rgs_meet, rgs_refines)
 
 labelings = st.integers(1, 7).flatmap(
     lambda n: st.lists(st.integers(0, 4), min_size=n, max_size=n))
@@ -23,8 +23,8 @@ class TestCanonicalForm:
             Partition((1, 0))
 
     @given(labelings)
-    def test_from_labels_canonical(self, labels):
-        p = Partition.from_labels(labels)
+    def test_rgs_canonical(self, labels):
+        p = Partition(rgs_canonical(labels))
         # same grouping, canonical numbering
         for i, j in itertools.combinations(range(len(labels)), 2):
             assert p.same(i, j) == (labels[i] == labels[j])
@@ -102,10 +102,23 @@ class TestPartitionIndex:
         assert ix.parts[ix.bottom] == tuple(range(n))
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    def test_join_table_matches_rgs_join(self, n):
+    def test_coatom_masks_decide_top_joins(self, n):
+        ix = partition_index(n)
+        top = (0,) * n
+        for (i, a), (j, b) in itertools.product(enumerate(ix.parts), repeat=2):
+            assert (ix.co[i] & ix.co[j] == 0) == (rgs_join(a, b) == top)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_coatom_mask_superset_is_refinement(self, n):
         ix = partition_index(n)
         for (i, a), (j, b) in itertools.product(enumerate(ix.parts), repeat=2):
-            assert ix.parts[ix.join[i][j]] == rgs_join(a, b)
+            assert (ix.co[j] & ~ix.co[i] == 0) == rgs_refines(a, b)
+
+    def test_size_7_index(self):
+        ix = partition_index(7)
+        assert len(ix.parts) == 877
+        assert ix.co[ix.top] == 0
+        assert ix.co[ix.bottom].bit_count() == 63  # 2^6 - 1 two-block partitions
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_disjoint_relations_meet_at_bottom(self, n):

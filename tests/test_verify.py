@@ -12,7 +12,7 @@ from mnlab import (Partition, PermGroup, UnaryAlgebra, all_congruences,
                    all_subgroups, catalog, check_lemma, check_theorem1,
                    check_theorem2, congruences_oracle, galois_is_closed,
                    gset_algebra, is_dihedral, minimal_representation, quotient,
-                   symmetric)
+                   symmetric, verify)
 from mnlab.congruence import _congruence_set
 from mnlab.partition import rgs_join, rgs_meet, rgs_refines
 from mnlab.perm import _orbits, mulclose
@@ -131,6 +131,29 @@ class TestLemmaSweep:
             visited += 1
         assert visited == report.counts["hypothesis_hits"] == 398
 
+    def test_non_dihedral_quotient_fails(self, monkeypatch):
+        """Fault injection: every quotient reads as dihedral of order 8, so
+        m = 4 is not prime and each hit fails on n = m + 1."""
+        monkeypatch.setattr(verify, "is_dihedral", lambda Q: 4)
+        report = check_lemma(max_order=24)
+        assert report.status == "FAIL" and report.findings
+        assert report.witnesses == [] and report.counterexamples == report.findings
+        for f in report.findings:
+            c = f["conclusions"]
+            assert c["quotient_dihedral_m"] == 4 and c["h_normal"]
+            assert not c["rotation_simple"] and not c["n_eq_p_plus_1"]
+            assert not f["ok"]
+
+    def test_non_normal_subgroup_fails(self, monkeypatch):
+        monkeypatch.setattr(verify, "is_normal", lambda G, H: False)
+        report = check_lemma(max_order=24)
+        assert report.status == "FAIL" and report.findings
+        assert report.witnesses == [] and report.counterexamples == report.findings
+        for f in report.findings:
+            c = f["conclusions"]
+            assert not c["h_normal"] and c["quotient_dihedral_m"] is None
+            assert not f["ok"]
+
     def test_report_json_deterministic_up_to_timing(self):
         a = check_lemma(max_order=6).to_dict()
         b = check_lemma(max_order=6).to_dict()
@@ -177,11 +200,35 @@ class TestTheorem2:
         assert by_size[2]["candidate_systems"] == 0
         assert by_size[3]["candidate_systems"] == 0
 
+    def test_smallest_size(self):
+        report = check_theorem2(3, max_size=2)
+        assert report.findings == [{"size": 2, "candidate_systems": 0,
+                                    "closed_systems": 0}]
+
     def test_unsupported_parameters(self):
         with pytest.raises(ValueError, match="unsupported"):
             check_theorem2(5, max_size=4)
         with pytest.raises(ValueError):
             check_theorem2(3, max_size=9)
+        with pytest.raises(ValueError):
+            check_theorem2(3, max_size=1)
+
+    def test_closed_system_below_2p_fails(self, monkeypatch):
+        """Fault injection: every size-5 system reads as Galois-closed."""
+        real = verify.galois_is_closed
+        monkeypatch.setattr(verify, "galois_is_closed",
+                            lambda n, atoms: n == 5 or real(n, atoms))
+        report = check_theorem2(3, max_size=6)
+        assert report.status == "FAIL"
+        closed = {f["size"]: f["closed_systems"] for f in report.findings}
+        assert closed == {2: 0, 3: 0, 4: 0, 5: 70, 6: 20}
+
+    def test_no_closed_system_at_2p_fails(self, monkeypatch):
+        monkeypatch.setattr(verify, "galois_is_closed", lambda n, atoms: False)
+        report = check_theorem2(3, max_size=6)
+        assert report.status == "FAIL" and report.witnesses == []
+        assert report.findings[-1] == {"size": 6, "candidate_systems": 718785,
+                                       "closed_systems": 0}
 
     def test_candidate_systems_are_atom_systems(self):
         """Every listed system at sizes 5 and 6: four proper partitions with
