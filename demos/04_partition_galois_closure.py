@@ -4,14 +4,15 @@
 # of that algebra.  The partitions stand on their own as a full congruence
 # lattice exactly when this closure adds nothing.
 
-from mnlab import (Partition, galois_closure, galois_is_closed,
-                   preserving_maps)
+from mnlab import galois_closure, galois_is_closed, preserving_maps
 from mnlab.verify import _atom_systems
 
 # Three pairwise-disjoint doubleton partitions of a 3-set: the atoms of the
 # full partition lattice Eq(3).  Only the identity and the three constant
 # maps preserve all of them, so the closure is Eq(3) itself, which is M_3.
-atoms = [Partition(r) for r in ((0, 0, 1), (0, 1, 0), (0, 1, 1))]
+# Partitions are given as restricted-growth strings (RGS): each element's
+# block number, blocks numbered by first appearance.
+atoms = [(0, 0, 1), (0, 1, 0), (0, 1, 1)]
 print("maps preserving the Eq(3) atoms:", preserving_maps(3, atoms))
 L = galois_closure(3, atoms)
 print("closure shape:", L.shape_report(), "| closed:", galois_is_closed(3, atoms))
@@ -19,7 +20,7 @@ print("closure shape:", L.shape_report(), "| closed:", galois_is_closed(3, atoms
 
 # The Klein-style triple on 4 elements is closed too: its preserving maps
 # are the four translations of the regular Klein action plus the constants.
-triple = [Partition(r) for r in ((0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0))]
+triple = [(0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0)]
 print("\nKlein triple: maps =", len(preserving_maps(4, triple)),
       "| closed:", galois_is_closed(4, triple))
 
@@ -28,12 +29,11 @@ print("\nKlein triple: maps =", len(preserving_maps(4, triple)),
 for size in (4, 5):
     count, pairwise_top = _atom_systems(size, 4)
     # a closure holds all pairwise joins; only pairwise-top systems can close
-    closed = sum(galois_is_closed(size, [Partition(r) for r in c])
-                 for c in pairwise_top)
+    closed = sum(galois_is_closed(size, c) for c in pairwise_top)
     print(f"size {size}: {count} candidate systems, {closed} closed")
 
 # On 6 elements the congruences of the regular order-6 dihedral action give
 # a closed system, and the minimal carrier bound 2p = 6 is met.
-system = [Partition(r) for r in ((0, 0, 0, 1, 1, 1), (0, 1, 2, 0, 1, 2),
-                                 (0, 1, 2, 1, 2, 0), (0, 1, 2, 2, 0, 1))]
+system = [(0, 0, 0, 1, 1, 1), (0, 1, 2, 0, 1, 2),
+          (0, 1, 2, 1, 2, 0), (0, 1, 2, 2, 0, 1)]
 print("size 6 dihedral system closed:", galois_is_closed(6, system))

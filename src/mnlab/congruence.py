@@ -5,7 +5,8 @@ operation (x ~ y implies f(x) ~ f(y)).  The main route computes all
 congruences by generating principal ones and closing under join; the oracle
 route filters every partition of the carrier.  ``galois_closure`` goes the
 other way: from a set of partitions to all maps preserving them, and back to
-the congruence lattice of the resulting algebra.
+the congruence lattice of the resulting algebra.  Partitions are RGS
+sequences: plain tuples and ``Partition`` objects alike.
 """
 
 from __future__ import annotations
@@ -14,7 +15,8 @@ from dataclasses import dataclass, field
 from typing import Optional, Sequence
 
 from .lattice import FinLattice
-from .partition import Partition, all_rgs, bell_number, rgs_canonical, rgs_join
+from .partition import (all_rgs, bell_number, rgs_canonical, rgs_is_valid,
+                        rgs_join)
 from .perm import PermGroup
 
 CON_SIZE_BOUND = 64
@@ -52,14 +54,8 @@ def gset_algebra(action: PermGroup, name: Optional[str] = None) -> UnaryAlgebra:
                         tuple(g.images for g in action.generators), name)
 
 
-def preserves(op: Sequence[int], part: Partition) -> bool:
-    """True iff x ~ y (part) implies op(x) ~ op(y) (part)."""
-    if len(op) != part.size:
-        raise ValueError(f"size mismatch: op has {len(op)}, partition {part.size}")
-    return _rgs_preserved(part.rgs, op)
-
-
 def _rgs_preserved(rgs: Sequence[int], op: Sequence[int]) -> bool:
+    """True iff x ~ y (rgs) implies op(x) ~ op(y) (rgs)."""
     pin: dict[int, int] = {}
     for x, blk in enumerate(rgs):
         img_blk = rgs[op[x]]
@@ -92,13 +88,6 @@ def _principal_rgs(size: int, ops: Sequence[Sequence[int]],
         for op in ops:
             stack.append((op[x], op[y]))
     return rgs_canonical([find(i) for i in range(size)])
-
-
-def principal_congruence(A: UnaryAlgebra, a: int, b: int) -> Partition:
-    """The smallest congruence of A relating a and b."""
-    if not (0 <= a < A.size and 0 <= b < A.size):
-        raise ValueError(f"elements ({a}, {b}) out of range for size {A.size}")
-    return Partition(_principal_rgs(A.size, A.ops, a, b))
 
 
 def _principals(size: int, ops: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
@@ -159,16 +148,17 @@ def congruences_oracle(A: UnaryAlgebra) -> FinLattice:
     return _lattice_from_rgs(keep)
 
 
-def preserving_maps(size: int, parts: Sequence[Partition]) -> list[tuple[int, ...]]:
-    """All unary tables f with preserves(f, p) for every p, in lexicographic
+def preserving_maps(size: int,
+                    parts: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
+    """All unary tables f preserving every RGS in ``parts``, in lexicographic
     order.  Prunes by prefix feasibility: a partial table that already sends
     two related elements to unrelated images is abandoned."""
     if size > MAPS_SIZE_BOUND:
         raise ValueError(f"carrier size {size} exceeds bound {MAPS_SIZE_BOUND}")
-    for p in parts:
-        if p.size != size:
-            raise ValueError(f"partition size {p.size} does not match carrier {size}")
-    rgss = [p.rgs for p in parts]
+    rgss = [tuple(p) for p in parts]
+    for r in rgss:
+        if len(r) != size or not rgs_is_valid(r):
+            raise ValueError(f"part {r!r} is not an RGS on {size} points")
     # pins[k][blk] = block that partition k forces images of blk into (-1 open)
     pins = [[-1] * (max(r) + 1 if r else 0) for r in rgss]
     table = [0] * size
@@ -200,7 +190,7 @@ def preserving_maps(size: int, parts: Sequence[Partition]) -> list[tuple[int, ..
     return out
 
 
-def galois_closure(size: int, parts: Sequence[Partition]) -> FinLattice:
+def galois_closure(size: int, parts: Sequence[Sequence[int]]) -> FinLattice:
     """Congruence lattice of the algebra of *all* maps preserving ``parts``.
 
     The input partitions always appear in the result.  They form a full
@@ -211,11 +201,10 @@ def galois_closure(size: int, parts: Sequence[Partition]) -> FinLattice:
     return _lattice_from_rgs(_congruence_set(size, maps))
 
 
-def galois_is_closed(size: int, parts: Sequence[Partition]) -> bool:
+def galois_is_closed(size: int, parts: Sequence[Sequence[int]]) -> bool:
     """True iff the closure is exactly {bottom} | parts | {top}; False,
     without joining, once a principal congruence of the preserving-maps
     algebra falls outside it."""
-    want = {tuple(range(size)), (0,) * size}
-    want.update(p.rgs for p in parts)
     principals = _principals(size, preserving_maps(size, parts))
+    want = {tuple(range(size)), (0,) * size, *map(tuple, parts)}
     return principals <= want and _join_closure(size, principals) == want

@@ -215,17 +215,6 @@ class FinLattice:
         return "\n".join(lines)
 
 
-def m_n(n: int) -> FinLattice:
-    """The reference M_n: bottom, n pairwise-incomparable middles, top."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    size = n + 2
-    top = 1 << (size - 1)
-    up = [(1 << size) - 1] + [1 << i | top for i in range(1, n + 1)] + [top]
-    labels = ["0"] + [f"a{i}" for i in range(1, n + 1)] + ["1"]
-    return FinLattice(up, labels)
-
-
 def chain(k: int) -> FinLattice:
     """A k-element total order."""
     if k < 1:

@@ -2,7 +2,7 @@
 
 The RGS of a partition assigns each element its block index, blocks numbered
 by first appearance (so rgs[0] = 0 and rgs[i] <= 1 + max of the prefix).
-This canonical form is the sole equality key and serialization.
+The RGS is the value: a ``Partition`` is a tuple subclass equal to its RGS.
 
 For carriers of up to INDEX_SIZE_BOUND points, ``partition_index(n)`` interns
 every partition of an n-set by its position in ``all_rgs(n)`` order, so the
@@ -161,16 +161,17 @@ def partition_index(n: int) -> PartitionIndex:
     return PartitionIndex(parts, rel, co)
 
 
-class Partition:
-    """An equivalence relation on {0..n-1} in canonical RGS form."""
+class Partition(tuple):
+    """An equivalence relation on {0..n-1}, valued as its canonical RGS.
+    ``<=`` and ``>=`` are refinement; ``<`` and ``>`` the tuple order."""
 
-    __slots__ = ("rgs",)
+    __slots__ = ()
 
-    def __init__(self, rgs: Iterable[int]):
-        rgs = tuple(rgs)
-        if not rgs_is_valid(rgs):
-            raise ValueError(f"not a restricted-growth string: {rgs!r}")
-        self.rgs = rgs
+    def __new__(cls, rgs: Iterable[int]) -> "Partition":
+        self = super().__new__(cls, rgs)
+        if not rgs_is_valid(self):
+            raise ValueError(f"not a restricted-growth string: {self.rgs!r}")
+        return self
 
     @classmethod
     def bottom(cls, size: int) -> "Partition":
@@ -183,61 +184,48 @@ class Partition:
         return cls([0] * size)
 
     @property
-    def size(self) -> int:
-        return len(self.rgs)
+    def rgs(self) -> tuple[int, ...]:
+        return tuple(self)
 
     @property
     def num_blocks(self) -> int:
-        return max(self.rgs) + 1 if self.rgs else 0
+        return max(self) + 1 if self else 0
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         out: list[list[int]] = [[] for _ in range(self.num_blocks)]
-        for i, b in enumerate(self.rgs):
+        for i, b in enumerate(self):
             out[b].append(i)
         return tuple(tuple(b) for b in out)
 
     def same(self, x: int, y: int) -> bool:
-        return self.rgs[x] == self.rgs[y]
+        return self[x] == self[y]
 
-    def meet(self, other: "Partition") -> "Partition":
+    def meet(self, other: Sequence[int]) -> "Partition":
         self._check(other)
-        return Partition(rgs_meet(self.rgs, other.rgs))
+        return Partition(rgs_meet(self, other))
 
-    def join(self, other: "Partition") -> "Partition":
+    def join(self, other: Sequence[int]) -> "Partition":
         self._check(other)
-        return Partition(rgs_join(self.rgs, other.rgs))
+        return Partition(rgs_join(self, other))
 
-    def refines(self, other: "Partition") -> bool:
+    def refines(self, other: Sequence[int]) -> bool:
         self._check(other)
-        return rgs_refines(self.rgs, other.rgs)
+        return rgs_refines(self, other)
 
     __and__ = meet
     __or__ = join
+    __le__ = refines
 
-    def __le__(self, other: "Partition") -> bool:
-        return self.refines(other)
+    def __ge__(self, other: Sequence[int]) -> bool:
+        self._check(other)
+        return rgs_refines(other, self)
 
-    def _check(self, other: "Partition") -> None:
-        if self.size != other.size:
-            raise ValueError(f"size mismatch: {self.size} vs {other.size}")
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.rgs == other.rgs
-
-    def __lt__(self, other: "Partition") -> bool:
-        return self.rgs < other.rgs
-
-    def __hash__(self) -> int:
-        return hash(self.rgs)
+    def _check(self, other: Sequence[int]) -> None:
+        if len(self) != len(other):
+            raise ValueError(f"size mismatch: {len(self)} vs {len(other)}")
 
     def __str__(self) -> str:
         return "|".join(" ".join(map(str, b)) for b in self.blocks())
 
     def __repr__(self) -> str:
         return f"Partition({self.rgs!r})"
-
-
-def all_partitions(n: int) -> Iterator[Partition]:
-    """Every partition of {0..n-1} in lexicographic RGS order."""
-    for rgs in all_rgs(n):
-        yield Partition(rgs)

@@ -237,9 +237,6 @@ class PermGroup:
     def orbits(self) -> list[tuple[int, ...]]:
         return _orbits(self.degree, (g._b for g in self.generators))
 
-    def is_transitive(self) -> bool:
-        return len(self.orbits()) == 1
-
 
 def _orbits(degree: int, gens: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
     """Orbits on {0..degree-1} of the group generated by ``gens`` (image

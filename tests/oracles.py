@@ -19,11 +19,16 @@ subgroup of ``subgroups_join_closure`` that equals its own core.
 ``itertools.combinations``, with no partition index and no clique search.
 ``system_orbits`` relabels partition systems by all n! permutations from
 ``itertools.permutations``, with no generators and no search.
+
+``all_partitions`` grows every RGS one element at a time, each element
+joining a block so far or opening the next one.  ``preserves`` checks a map
+on every related pair.  ``m_n`` writes down the up-sets of M_n.
 """
 
 import functools
 import itertools
 
+from mnlab import FinLattice, Partition
 from mnlab.partition import all_rgs, rgs_join, rgs_meet
 from mnlab.perm import PermGroup, _compose, _inverse, mulclose
 
@@ -175,3 +180,30 @@ def system_orbits(systems, n):
             left -= orbit
             orbits.append(orbit)
     return orbits
+
+
+def all_partitions(n):
+    """Every partition of {0..n-1} as a Partition, in lexicographic RGS
+    order."""
+    rgss = [()]
+    for _ in range(n):
+        rgss = [r + (b,) for r in rgss for b in range(max(r, default=-1) + 2)]
+    return [Partition(r) for r in rgss]
+
+
+def preserves(op, part):
+    """True iff x ~ y (part) implies op(x) ~ op(y) (part), for an RGS part."""
+    if len(op) != len(part):
+        raise ValueError(f"size mismatch: op has {len(op)}, partition {len(part)}")
+    return all(part[op[x]] == part[op[y]]
+               for x, y in itertools.combinations(range(len(part)), 2)
+               if part[x] == part[y])
+
+
+def m_n(n):
+    """The reference M_n: bottom, n pairwise-incomparable middles, top."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    top = 1 << (n + 1)
+    up = [(top << 1) - 1] + [1 << i | top for i in range(1, n + 1)] + [top]
+    return FinLattice(up, ["0"] + [f"a{i}" for i in range(1, n + 1)] + ["1"])

@@ -11,16 +11,15 @@ import time
 from contextlib import contextmanager
 from pathlib import Path
 
-from mnlab import (Partition, UnaryAlgebra, all_congruences, all_partitions,
-                   all_subgroups, catalog, check_lemma, check_theorem1,
-                   check_theorem2, congruences_oracle, coset_action, cosets,
-                   galois_closure, galois_is_closed, minimal_representation,
-                   preserving_maps)
+from mnlab import (Partition, UnaryAlgebra, all_congruences, all_subgroups,
+                   catalog, check_lemma, check_theorem1, check_theorem2,
+                   congruences_oracle, coset_action, cosets, galois_closure,
+                   galois_is_closed, minimal_representation, preserving_maps)
 from mnlab.cli import main
 from mnlab.congruence import _congruence_set
 from mnlab.partition import rgs_canonical, rgs_refines
 
-from oracles import subgroups_bounded_gen
+from oracles import all_partitions, subgroups_bounded_gen
 
 RESULTS = []
 

@@ -227,6 +227,7 @@ class TestVerify:
         assert rc == 0
         data = json.loads(stdout)
         assert data["status"] == "PASS"
+        assert "carrier 6 is not reached" in data["notes"][-1]
 
     def test_failing_sweeps_exit_1(self, monkeypatch, capsys):
         """Fault injection through the CLI: each broken conjunct turns the
@@ -237,7 +238,9 @@ class TestVerify:
                 ("galois_is_closed", lambda n, atoms: n == 5 or real(n, atoms),
                  theorem2),
                 ("galois_is_closed", lambda n, atoms: False, theorem2),
-                ("is_normal", lambda G, H: False, ["verify", "lemma"])):
+                ("is_normal", lambda G, H: False, ["verify", "lemma"]),
+                ("is_dihedral", lambda K: None,
+                 ["verify", "theorem1", "--p", "2"])):
             with monkeypatch.context() as m:
                 m.setattr(verify, name, fake)
                 rc, stdout, _ = run(argv, capsys)

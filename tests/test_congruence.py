@@ -2,19 +2,19 @@
 
 import itertools
 import random
+import re
 
 import pytest
 
-from mnlab import (Partition, UnaryAlgebra, all_congruences, all_partitions,
+from mnlab import (Partition, UnaryAlgebra, all_congruences,
                    congruences_oracle, cyclic, dihedral,
                    galois_closure, galois_is_closed, gset_algebra, klein,
-                   preserves, preserving_maps, principal_congruence,
-                   regular_action, symmetric)
-from mnlab.congruence import _congruence_set
+                   preserving_maps, regular_action, symmetric)
+from mnlab.congruence import _congruence_set, _principal_rgs
 from mnlab.partition import rgs_canonical
 from mnlab.perm import PermGroup
 
-from oracles import atom_systems
+from oracles import all_partitions, atom_systems, preserves
 
 KLEIN_REGULAR = gset_algebra(regular_action(klein()))
 
@@ -67,20 +67,20 @@ class TestPreserves:
             preserves((0, 1), Partition((0, 1, 2)))
 
 
+def principal(A, a, b):
+    return _principal_rgs(A.size, A.ops, a, b)
+
+
 class TestPrincipal:
     def test_klein_pair(self):
-        assert principal_congruence(KLEIN_REGULAR, 0, 1).rgs == (0, 0, 1, 1)
+        assert principal(KLEIN_REGULAR, 0, 1) == (0, 0, 1, 1)
 
     def test_reflexive_seed_gives_bottom(self):
-        assert principal_congruence(KLEIN_REGULAR, 2, 2) == Partition.bottom(4)
+        assert principal(KLEIN_REGULAR, 2, 2) == Partition.bottom(4)
 
     def test_three_cycle_smears_to_top(self):
         A = UnaryAlgebra(3, ((1, 2, 0),))
-        assert principal_congruence(A, 0, 1) == Partition.top(3)
-
-    def test_out_of_range(self):
-        with pytest.raises(ValueError, match="out of range"):
-            principal_congruence(KLEIN_REGULAR, 0, 7)
+        assert principal(A, 0, 1) == Partition.top(3)
 
     def test_principal_is_meet_of_containing_congruences(self):
         rng = random.Random(7)
@@ -96,7 +96,7 @@ class TestPrincipal:
             meet = above[0]
             for c in above[1:]:
                 meet = meet & c
-            assert principal_congruence(A, a, b) == meet
+            assert principal(A, a, b) == meet
 
 
 class TestAllCongruences:
@@ -205,6 +205,42 @@ class TestPreservingMaps:
             preserving_maps(9, [])
 
 
+class TestRgsParts:
+    """The Galois functions take partitions as RGS sequences, checked."""
+
+    @pytest.mark.parametrize("bad", [(0, 1), (0, 2, 1), (0, -1, 1)])
+    @pytest.mark.parametrize("fn", [preserving_maps, galois_closure,
+                                    galois_is_closed])
+    def test_bad_part_is_named(self, fn, bad):
+        with pytest.raises(ValueError, match=re.escape(f"part {bad!r}")):
+            fn(3, [(0, 0, 1), bad])
+
+    def test_plain_tuples_lists_and_partitions_agree(self):
+        rng = random.Random(3)
+        systems = [(3, [(0, 0, 1), (0, 1, 0), (0, 1, 1)]),
+                   (4, [(0, 0, 1, 1), (0, 1, 0, 1), (0, 1, 1, 0)])]
+        for size in (3, 4, 5):
+            pool = [tuple(p) for p in all_partitions(size)]
+            systems += [(size, rng.sample(pool, k=rng.randint(1, 3)))
+                        for _ in range(8)]
+        closed = 0
+        for size, plain in systems:
+            assert all(type(r) is tuple for r in plain)
+            wrapped = [Partition(r) for r in plain]
+            lists = [list(r) for r in plain]
+            maps = preserving_maps(size, plain)
+            assert preserving_maps(size, wrapped) == maps
+            assert preserving_maps(size, lists) == maps
+            L = galois_closure(size, plain)
+            assert galois_closure(size, wrapped) == L
+            assert galois_closure(size, lists) == L
+            verdict = galois_is_closed(size, plain)
+            assert galois_is_closed(size, wrapped) == verdict
+            assert galois_is_closed(size, lists) == verdict
+            closed += verdict
+        assert closed >= 2
+
+
 class TestGaloisClosure:
     def test_eq3_atoms_closed_as_m3(self):
         atoms = [Partition(r) for r in ((0, 0, 1), (0, 1, 0), (0, 1, 1))]
@@ -246,7 +282,7 @@ class TestGaloisClosure:
             closure = _congruence_set(size, preserving_maps(size, parts))
             assert tuple(range(size)) in closure
             assert (0,) * size in closure
-            assert {p.rgs for p in parts} <= closure
+            assert set(parts) <= closure
 
     def test_closure_is_fixed_point(self):
         rng = random.Random(9)

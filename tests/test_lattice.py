@@ -13,11 +13,11 @@ from hypothesis import strategies as st
 
 from mnlab import (FinLattice, NotALatticeError, UnaryAlgebra,
                    all_congruences, all_subgroups, chain, cyclic, gset_algebra,
-                   iso_check, klein, m_n, regular_action, symmetric)
+                   iso_check, klein, regular_action, symmetric)
 from mnlab.congruence import _congruence_set
 from mnlab.partition import rgs_join, rgs_meet
 
-from oracles import is_lattice, pair_has_join
+from oracles import is_lattice, m_n, pair_has_join
 
 
 @st.composite

@@ -6,9 +6,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mnlab import Partition, all_partitions, bell_number
+from mnlab import Partition, bell_number
 from mnlab.partition import (all_rgs, partition_index, rgs_canonical,
                              rgs_join, rgs_meet, rgs_refines)
+
+from oracles import all_partitions
 
 labelings = st.integers(1, 7).flatmap(
     lambda n: st.lists(st.integers(0, 4), min_size=n, max_size=n))
@@ -36,17 +38,46 @@ class TestCanonicalForm:
     def test_str(self):
         assert str(Partition((0, 0, 1, 1))) == "0 1|2 3"
 
+    def test_value_is_the_rgs(self):
+        p = Partition([0, 1, 0])
+        assert p == (0, 1, 0) == p.rgs and type(p.rgs) is tuple
+        assert hash(p) == hash((0, 1, 0))
+        assert {p: 1}[(0, 1, 0)] == 1
+        assert repr(p) == "Partition((0, 1, 0))"
+
+
+class TestComparisons:
+    def test_order_semantics(self):
+        """<= and >= are refinement, < and > the lexicographic RGS order."""
+        a, b = Partition((0, 1, 2, 2)), Partition((0, 0, 1, 1))
+        c = Partition((0, 1, 0, 1))
+        assert a <= b and b >= a and not b <= a and not a >= b
+        assert not c <= b and not c >= b and not b >= c
+        assert a <= a and a >= a
+        # lexicographic, not refinement: b < a although a refines b,
+        # and c > b although neither refines the other
+        assert b < a and a > b and b < c and c > b
+        assert not a < a and not a > a
+        assert sorted([c, a, b]) == [b, c, a]
+        assert a == Partition((0, 1, 2, 2)) and a != b
+        # a plain RGS on either side compares the same way
+        assert a <= (0, 0, 1, 1) and (0, 0, 1, 1) >= a
+        assert (0, 1, 2, 2) <= b and not (0, 0, 1, 1) <= a
+        with pytest.raises(ValueError, match="size mismatch"):
+            a >= Partition((0, 0))
+
 
 class TestEnumeration:
     @pytest.mark.parametrize("n,count", [(0, 1), (1, 1), (2, 2), (3, 5),
                                          (4, 15), (5, 52), (6, 203)])
     def test_counts_match_bell(self, n, count):
-        parts = list(all_partitions(n))
+        parts = list(all_rgs(n))
         assert len(parts) == count == bell_number(n)
         assert len(set(parts)) == count
+        assert parts == all_partitions(n)
 
     def test_lexicographic_order(self):
-        rgss = [p.rgs for p in all_partitions(4)]
+        rgss = list(all_rgs(4))
         assert rgss == sorted(rgss)
         assert rgss[0] == (0, 0, 0, 0)
         assert rgss[-1] == (0, 1, 2, 3)

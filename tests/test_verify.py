@@ -175,6 +175,23 @@ class TestTheorem1:
         with pytest.raises(ValueError, match="unsupported"):
             check_theorem1(5)
 
+    def test_non_dihedral_hit_fails(self, monkeypatch):
+        """Fault injection: the Klein hit reads as not dihedral, so it is a
+        counterexample and nothing is a witness."""
+        monkeypatch.setattr(verify, "is_dihedral", lambda K: None)
+        report = check_theorem1(2)
+        assert report.status == "FAIL" and report.witnesses == []
+        assert [(c["degree"], c["order"], c["regular"], c["dihedral_m"])
+                for c in report.counterexamples] == [(4, 4, True, None)]
+
+    def test_no_hit_fails(self, monkeypatch):
+        """Fault injection: no congruence lattice reads as M_n, so the sweep
+        finds nothing and an empty sweep fails."""
+        monkeypatch.setattr(verify, "_mn_of", lambda mids, leq: None)
+        report = check_theorem1(2)
+        assert report.status == "FAIL" and report.counts["hits"] == 0
+        assert report.witnesses == [] and report.counterexamples == []
+
     @pytest.mark.parametrize("d,transitive", [(2, 1), (3, 2), (5, 20)])
     def test_prime_degree_rule(self, d, transitive, symmetric_subgroups):
         """The rule that excludes degree 7, checked by enumeration at the
@@ -204,6 +221,17 @@ class TestTheorem2:
         report = check_theorem2(3, max_size=2)
         assert report.findings == [{"size": 2, "candidate_systems": 0,
                                     "closed_systems": 0}]
+
+    @pytest.mark.parametrize("max_size", [2, 4])
+    def test_report_names_the_unreached_carrier(self, max_size):
+        """Below max_size 2p the claim at carrier 2p goes unchecked: the
+        status stays PASS and a note says what was left out."""
+        report = check_theorem2(3, max_size=max_size)
+        assert report.status == "PASS"
+        assert report.notes == [
+            "expected: zero closed systems below carrier 6, at least one at 6",
+            f"max_size {max_size} < 6: carrier 6 is not reached, so only the"
+            " first claim is checked"]
 
     def test_unsupported_parameters(self):
         with pytest.raises(ValueError, match="unsupported"):
