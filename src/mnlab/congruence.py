@@ -2,21 +2,24 @@
 
 A congruence of a unary algebra is a partition compatible with every
 operation (x ~ y implies f(x) ~ f(y)).  The main route computes all
-congruences by generating principal ones and closing under join; the oracle
-route filters every partition of the carrier.  ``galois_closure`` goes the
-other way: from a set of partitions to all maps preserving them, and back to
-the congruence lattice of the resulting algebra.  Partitions are RGS
-sequences: plain tuples and ``Partition`` objects alike.
+congruences by generating principal ones and closing under join, on the
+coatom masks of ``partition_index`` for carriers of up to INDEX_SIZE_BOUND
+(7) points and with ``rgs_join`` above that; the oracle route filters every
+partition of the carrier.  ``galois_closure`` goes the other way: from a set
+of partitions to all maps preserving them, and back to the congruence
+lattice of the resulting algebra.  Partitions are RGS sequences: plain
+tuples and ``Partition`` objects alike.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .lattice import FinLattice
-from .partition import (all_rgs, bell_number, rgs_canonical, rgs_is_valid,
-                        rgs_join)
+from .partition import (INDEX_SIZE_BOUND, all_rgs, bell_number,
+                        partition_index, rgs_canonical, rgs_is_valid, rgs_join)
 from .perm import PermGroup
 
 CON_SIZE_BOUND = 64
@@ -97,14 +100,27 @@ def _principals(size: int, ops: Sequence[Sequence[int]]) -> set[tuple[int, ...]]
 
 
 def _join_closure(size: int, principals: set[tuple[int, ...]]) -> set[tuple[int, ...]]:
-    """The bottom and every join of the given principal congruences: each one
-    found is joined with the principal ones alone."""
-    found = {tuple(range(size))} | principals
-    work = list(principals)
+    """The bottom and every join of the given principal congruences.  Up to
+    INDEX_SIZE_BOUND points each partition is its coatom mask, which names
+    it uniquely, and a join is the ``&`` of two masks; larger carriers join
+    RGS with ``rgs_join``."""
+    if size > INDEX_SIZE_BOUND:
+        return _close({tuple(range(size))}, principals, rgs_join)
+    ix = partition_index(size)
+    masks = _close({ix.co[ix.bottom]}, {ix.co[ix.ids[r]] for r in principals},
+                   operator.and_)
+    return {ix.parts[ix.co_ids[m]] for m in masks}
+
+
+def _close(found: set, gens: set, join: Callable) -> set:
+    """``found`` with ``gens`` added, closed under joining with a member of
+    ``gens``: each element found is joined with the generators alone."""
+    found |= gens
+    work = list(gens)
     while work:
         r = work.pop()
-        for s in principals:
-            j = rgs_join(r, s)
+        for s in gens:
+            j = join(r, s)
             if j not in found:
                 found.add(j)
                 work.append(j)
@@ -130,7 +146,9 @@ def all_congruences(A: UnaryAlgebra) -> FinLattice:
     """The congruence lattice of A, elements labelled by RGS: the principal
     congruences, closed by joining each congruence found with the principals
     only, as every congruence is a join of principal ones (R. Freese, Algebra
-    Universalis 59, 2008).  Meets of congruences are congruences anyway."""
+    Universalis 59, 2008).  Meets of congruences are congruences anyway.
+    Carriers of up to INDEX_SIZE_BOUND points join coatom masks with ``&``;
+    larger ones, up to CON_SIZE_BOUND, join RGS with ``rgs_join``."""
     if A.size > CON_SIZE_BOUND:
         raise ValueError(f"carrier size {A.size} exceeds bound {CON_SIZE_BOUND}")
     return _lattice_from_rgs(_congruence_set(A.size, A.ops))

@@ -3,10 +3,13 @@
 A lattice over elements 0..n-1 is held as Python-int bitsets: ``up[i]`` has
 bit j set iff i <= j, and ``down`` is its transpose, with optional string
 labels.  Construction verifies that the order really is a lattice: a partial
-order with unique bottom and top in which every pair has a join.  Meets
-follow, so they are not checked: the meet of a pair is the join of its
-common lower bounds, the bottom among them.  ``from_inclusion`` builds the
-order of a family of sets (partitions enter as their sets of related pairs).
+order with unique bottom and top in which every pair has a join.  Only the
+pairs with a join-irreducible member (one lower cover) are tested: every
+other element above the bottom is the join of two of its lower covers, so
+its joins follow from theirs.  Meets follow too, so they are not checked:
+the meet of a pair is the join of its common lower bounds, the bottom among
+them.  ``from_inclusion`` builds the order of a family of sets (partitions
+enter as their sets of related pairs).
 """
 
 from __future__ import annotations
@@ -83,14 +86,22 @@ class FinLattice:
         if down.count(full) != 1:
             raise NotALatticeError("top element is not unique")
         self.bottom, self.top = up.index(full), down.index(full)
-        # every pair needs a join: an element whose up-set is the pair's
-        # whole common up-set
+        # A pair has a join when some element's up-set is the pair's whole
+        # common up-set.  Testing x v j for join-irreducible j (one lower
+        # cover) suffices, by induction on the down-set of y: x v 0 = x, and
+        # a y with lower covers a != b is a v b (a < a v b <= y, and y covers
+        # a), so x v y = (x v a) v b, two joins with elements below y.
         ups = set(up)
-        for i in range(n):
-            for j in range(i + 1, n):
-                if up[i] & up[j] not in ups:
+        lower = [0] * n  # lower-cover counts
+        for c in self.covers:
+            for j in _bits(c):
+                lower[j] += 1
+        irreducible = [j for j in range(n) if lower[j] == 1]
+        for x in range(n):
+            for j in irreducible:
+                if up[x] & up[j] not in ups:
                     raise NotALatticeError(
-                        f"elements {i} and {j} have no join", (i, j))
+                        f"elements {x} and {j} have no join", (x, j))
 
     @classmethod
     def from_inclusion(cls, sets: Sequence[Collection],

@@ -12,13 +12,17 @@ pair x < y, so meet is ``&`` (disjoint relations meet at the bottom).  Its
 coatom mask has one bit per two-block partition above it.  Every partition
 but the top is the meet of its coatoms, so a join is the top exactly when
 the coatom masks are disjoint, and a join's coatom mask is their ``&``.
-Either mask decides refinement by a subset test.  The index is built on
-first use for each n and kept for the life of the process.
+Either mask decides refinement by a subset test.  Two lookups invert the
+tables: ``ids`` maps an RGS to its id and ``co_ids`` a coatom mask to its
+id.  Besides the theorem-2 clique search, the index serves the congruence
+join closure, which runs on coatom masks up to INDEX_SIZE_BOUND points.
+The index is built on first use for each n and kept for the life of the
+process.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
@@ -39,7 +43,7 @@ def rgs_canonical(labels: Sequence[int]) -> tuple[int, ...]:
 def rgs_is_valid(rgs: Sequence[int]) -> bool:
     top = -1
     for x in rgs:
-        if x > top + 1 or x < 0:
+        if not isinstance(x, int) or x > top + 1 or x < 0:
             return False
         top = max(top, x)
     return True
@@ -140,6 +144,9 @@ class PartitionIndex:
     parts: tuple[tuple[int, ...], ...]   # id -> RGS
     rel: tuple[int, ...]                 # id -> pair-relation bitmask
     co: tuple[int, ...]                  # id -> bitmask of coatoms above it
+    # derived from the fields above, so left out of == and hash
+    ids: dict[tuple[int, ...], int] = field(compare=False)   # RGS -> id
+    co_ids: dict[int, int] = field(compare=False)            # coatom mask -> id
 
     top = 0  # all_rgs(n) starts with the all-zero RGS
 
@@ -158,7 +165,8 @@ def partition_index(n: int) -> PartitionIndex:
     coatoms = [rc for r, rc in zip(parts, rel) if max(r, default=0) == 1]
     co = tuple(sum(1 << c for c, rc in enumerate(coatoms) if not ri & ~rc)
                for ri in rel)
-    return PartitionIndex(parts, rel, co)
+    return PartitionIndex(parts, rel, co, {r: i for i, r in enumerate(parts)},
+                          {m: i for i, m in enumerate(co)})
 
 
 class Partition(tuple):

@@ -114,7 +114,8 @@ def check_lemma(max_order: int = 24) -> VerificationReport:
                                 "n_eq_p_plus_1": n_eq,
                                 "two_index2_intermediates": two_index2,
                                 "rotation_simple": m_prime},
-                "ok": h_normal and n_eq and two_index2,
+                # n_eq needs m, which is found only for a normal H
+                "ok": n_eq and two_index2,
             })
     findings.sort(key=lambda f: (f["group"], f["subgroup_key"]))
     bad = [f for f in findings if not f["ok"]]
@@ -189,7 +190,7 @@ def check_theorem1(p: int) -> VerificationReport:
                 "regular": K.order == d,
                 "dihedral_m": m,
             }
-            ok = entry["regular"] and K.order == 2 * p and m == p
+            ok = entry["regular"] and m == p  # m == p: dihedral of order 2p
             (witnesses if ok else counterexamples).append(entry)
         per_degree.append(stats)
 
@@ -273,7 +274,7 @@ def _orbit_firsts(size: int, systems: list[tuple]) -> list[int]:
     S_size, which relabels the carrier: perm._orbits on positions in the
     list, under the transposition (0 1) and the size-cycle.  The list must be
     S_size-invariant; an image outside it raises KeyError."""
-    ids = {r: i for i, r in enumerate(partition_index(size).parts)}
+    ids = partition_index(size).ids
     keys = [frozenset(ids[r] for r in system) for system in systems]
     pos = {key: i for i, key in enumerate(keys)}
     moves = []

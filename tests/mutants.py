@@ -1,4 +1,4 @@
-"""Mutation sweep over the theorem-2 search in src/mnlab/verify.py.
+"""Mutation sweep over the three sweeps in src/mnlab/verify.py.
 
 Run by hand from the root of a checkout (pytest does not collect this file):
 
@@ -36,10 +36,14 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULE = Path("src/mnlab/verify.py")
-FUNCTIONS = ("_atom_systems", "_orbit_firsts", "check_theorem2")
-TESTS = ("tests/test_verify.py::TestTheorem2",
+FUNCTIONS = ("check_lemma", "check_theorem1", "_atom_systems",
+             "_orbit_firsts", "check_theorem2")
+TESTS = ("tests/test_verify.py::TestLemmaSweep",
+         "tests/test_verify.py::TestTheorem1",
+         "tests/test_verify.py::TestTheorem2",
          "tests/test_partition.py::TestPartitionIndex",
-         "tests/test_cli.py")
+         "tests/test_cli.py",
+         "tests/test_acceptance.py")
 MEMORY_BYTES = 2 << 30
 
 FLIP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -48,8 +52,34 @@ FLIP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
 SWAP = {ast.And: ast.Or, ast.Or: ast.And, ast.BitAnd: ast.BitOr,
         ast.BitOr: ast.BitAnd}
 
+# The lemma counts the intermediates K of index 2 over H.  Each normalizes
+# H, so they are the subgroups of order 2 of N_G(H)/H, less G/H itself, and
+# a group of even order has an odd number of involutions: the count is 0 or
+# odd.
+PARITY = ("the index-2 count is 0 or odd, so it is at least 2 exactly when it"
+          " is at least 3")
+DROP_ONE = ("the slice loses one intermediate: as the index-2 count is 0 or"
+            " odd, a count of at least 3 stays at least 2 and a count of 0 or"
+            " 1 stays below 2")
+
 # mutant label -> why no test can kill it
 EQUIVALENT = {
+    "check_lemma:+25:15 op 0 flipped: index >= 2 * n -> index > 2 * n":
+        "no M_n interval of catalog(48) has index exactly 2n (398 lie below,"
+        " 8 above), so the boundary is unreachable on the sweep's domain",
+    "check_lemma:+33:25 op 0 flipped: sum((1 for K in iv[1:-1] if K.order =="
+    " 2 * H.order)) >= 2 -> sum((1 for K in iv[1:-1] if K.order == 2 *"
+    " H.order)) > 2": PARITY,
+    "check_lemma:+33:79 +1: 2 -> 3": PARITY,
+    "check_lemma:+33:43 -1: 1 -> 0":
+        "the slice then takes in H, whose order is not 2 |H|",
+    "check_lemma:+33:43 +1: 1 -> 2": DROP_ONE,
+    "check_lemma:+33:46 +1: 1 -> 2": DROP_ONE,
+    "check_lemma:+45:22 term 1 dropped: n_eq and two_index2 -> n_eq":
+        "n_eq holds only when G/H is dihedral of order 2m, m prime, so the"
+        " interval is the subgroup lattice of D_2m, whose m reflection"
+        " subgroups (all three subgroups of order 2 when m = 2) have index 2"
+        " over H: two_index2 follows",
     "_atom_systems:+12:19 -1: 1 -> 0":
         "`proper` then takes in the top (id 0), whose pair relation meets every"
         " other partition's: apart[0] is 0 and no apart[j] holds 0, so the top"

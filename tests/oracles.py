@@ -10,7 +10,8 @@ the cyclic subgroups under joins with a cyclic subgroup.
 
 ``is_lattice`` is the all-pairs reference check of a finite order: unique
 bottom and top, and a greatest lower and a least upper bound for every pair,
-each found by numpy masks over the whole order.
+each found by numpy masks over the whole order.  ``is_join_irreducible``
+lists an element's lower covers straight from the order.
 
 ``core`` intersects all conjugates of H, the definition of the kernel of G
 acting on the cosets of H.  ``is_simple`` looks for a proper nontrivial
@@ -113,6 +114,14 @@ def pair_has_meet(leq, i, j):
 def pair_has_join(leq, i, j):
     ups = leq[i, :] & leq[j, :]
     return bool((ups & leq[:, ups].all(axis=1)).any())
+
+
+def is_join_irreducible(leq, j):
+    """True iff j has exactly one lower cover: one i < j with no element
+    strictly between i and j."""
+    below = [i for i in range(leq.shape[0]) if i != j and leq[i, j]]
+    covers = [i for i in below if not any(leq[i, k] for k in below if k != i)]
+    return len(covers) == 1
 
 
 def is_lattice(leq):

@@ -240,6 +240,8 @@ class TestVerify:
                 ("galois_is_closed", lambda n, atoms: False, theorem2),
                 ("is_normal", lambda G, H: False, ["verify", "lemma"]),
                 ("is_dihedral", lambda K: None,
+                 ["verify", "theorem1", "--p", "2"]),
+                ("_mn_of", lambda mids, leq: 3,
                  ["verify", "theorem1", "--p", "2"])):
             with monkeypatch.context() as m:
                 m.setattr(verify, name, fake)

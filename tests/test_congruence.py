@@ -11,7 +11,7 @@ from mnlab import (Partition, UnaryAlgebra, all_congruences,
                    galois_closure, galois_is_closed, gset_algebra, klein,
                    preserving_maps, regular_action, symmetric)
 from mnlab.congruence import _congruence_set, _principal_rgs
-from mnlab.partition import rgs_canonical
+from mnlab.partition import INDEX_SIZE_BOUND, rgs_canonical
 from mnlab.perm import PermGroup
 
 from oracles import all_partitions, atom_systems, preserves
@@ -153,6 +153,36 @@ class TestOracle:
             A = UnaryAlgebra(size, ops)
             assert all_congruences(A) == congruences_oracle(A)
 
+    @pytest.mark.parametrize("size", [8, 9])
+    def test_agreement_above_the_partition_index(self, size):
+        """Carriers past INDEX_SIZE_BOUND close on RGS with rgs_join."""
+        rng = random.Random(size)
+        shapes = set()
+        for _ in range(6):
+            ops = tuple(tuple(rng.randrange(size) for _ in range(size))
+                        for _ in range(rng.randint(1, 3)))
+            A = UnaryAlgebra(size, ops)
+            L = all_congruences(A)
+            assert L == congruences_oracle(A)
+            shapes.add(L.n)
+        assert len(shapes) > 1  # not one trivial lattice over and over
+
+    def test_closure_paths_agree_across_the_index_bound(self):
+        """A 7-point algebra, closed on coatom masks, and the same algebra
+        with an 8th point that every op fixes, closed with rgs_join: the
+        8-point congruences restrict onto the 7-point ones, and those that
+        keep the new point alone correspond one to one with them."""
+        assert INDEX_SIZE_BOUND == 7
+        rng = random.Random(78)
+        for _ in range(8):
+            ops = [tuple(rng.randrange(7) for _ in range(7))
+                   for _ in range(rng.randint(1, 2))]
+            small = _congruence_set(7, ops)
+            big = _congruence_set(8, [op + (7,) for op in ops])
+            assert {r[:7] for r in big} == small
+            alone = [r[:7] for r in big if r[7] > max(r[:7])]
+            assert len(alone) == len(small) and set(alone) == small
+
     def test_block_systems_agree_with_sympy(self, symmetric_subgroups):
         """sympy's own block routines, on every transitive subgroup of S4,
         S5 and S6: primitive iff Con is the 2-element chain, and the minimal
@@ -208,7 +238,8 @@ class TestPreservingMaps:
 class TestRgsParts:
     """The Galois functions take partitions as RGS sequences, checked."""
 
-    @pytest.mark.parametrize("bad", [(0, 1), (0, 2, 1), (0, -1, 1)])
+    @pytest.mark.parametrize("bad", [(0, 1), (0, 2, 1), (0, -1, 1),
+                                     (0, 0.5, 1)])
     @pytest.mark.parametrize("fn", [preserving_maps, galois_closure,
                                     galois_is_closed])
     def test_bad_part_is_named(self, fn, bad):

@@ -1,6 +1,7 @@
 """Finite lattice representation, shape detection, isomorphism, DOT output."""
 
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -17,7 +18,7 @@ from mnlab import (FinLattice, NotALatticeError, UnaryAlgebra,
 from mnlab.congruence import _congruence_set
 from mnlab.partition import rgs_join, rgs_meet
 
-from oracles import is_lattice, m_n, pair_has_join
+from oracles import is_join_irreducible, is_lattice, m_n, pair_has_join
 
 
 @st.composite
@@ -82,6 +83,28 @@ class TestConstruction:
             assert is_lattice(leq)
             assert all(L.leq(i, j) == leq[i, j]
                        for i in range(L.n) for j in range(L.n))
+
+    def test_missing_join_names_a_join_irreducible(self):
+        """Seeded families of subsets of a 5-set, with the empty and the
+        full set: whenever construction fails it names a pair with no join,
+        and one member of the pair has exactly one lower cover."""
+        rng = random.Random(13)
+        named = 0
+        for _ in range(300):
+            masks = {0, 31, *rng.sample(range(1, 31), rng.randint(4, 10))}
+            family = [frozenset(i for i in range(5) if x >> i & 1)
+                      for x in sorted(masks)]
+            leq = np.array([[a <= b for b in family] for a in family])
+            try:
+                FinLattice.from_inclusion(family)
+            except NotALatticeError as err:
+                assert err.pair is not None
+                assert not pair_has_join(leq, *err.pair)
+                assert any(is_join_irreducible(leq, k) for k in err.pair)
+                named += 1
+            else:
+                assert is_lattice(leq)
+        assert named >= 30
 
     def test_non_partial_order_rejected(self):
         with pytest.raises(ValueError, match="antisymmetric"):

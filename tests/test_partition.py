@@ -24,6 +24,11 @@ class TestCanonicalForm:
         with pytest.raises(ValueError):
             Partition((1, 0))
 
+    @pytest.mark.parametrize("labels", [(0, 0.5, 1), (0, 1.0), (0, "1")])
+    def test_non_integer_labels_rejected(self, labels):
+        with pytest.raises(ValueError, match="restricted-growth"):
+            Partition(labels)
+
     @given(labelings)
     def test_rgs_canonical(self, labels):
         p = Partition(rgs_canonical(labels))
@@ -150,6 +155,21 @@ class TestPartitionIndex:
         assert len(ix.parts) == 877
         assert ix.co[ix.top] == 0
         assert ix.co[ix.bottom].bit_count() == 63  # 2^6 - 1 two-block partitions
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7])
+    def test_lookups_invert_parts_and_coatom_masks(self, n):
+        """Every partition has its own coatom mask, so both lookups are
+        one-to-one."""
+        ix = partition_index(n)
+        assert len(ix.ids) == len(ix.co_ids) == len(ix.parts) == bell_number(n)
+        for i, r in enumerate(ix.parts):
+            assert ix.ids[r] == i and ix.co_ids[ix.co[i]] == i
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    def test_coatom_mask_of_a_join_is_the_and(self, n):
+        ix = partition_index(n)
+        for (i, a), (j, b) in itertools.product(enumerate(ix.parts), repeat=2):
+            assert ix.parts[ix.co_ids[ix.co[i] & ix.co[j]]] == rgs_join(a, b)
 
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
     def test_disjoint_relations_meet_at_bottom(self, n):

@@ -18,7 +18,7 @@ from mnlab.partition import rgs_join, rgs_meet, rgs_refines
 from mnlab.perm import _orbits, mulclose
 from mnlab.verify import _atom_systems, _mn_of, _orbit_firsts, _subgroup_key
 
-from oracles import (atom_systems, is_simple, maximal_descent_closure,
+from oracles import (atom_systems, core, is_simple, maximal_descent_closure,
                      subgroups_bounded_gen, system_orbits)
 
 # check_theorem2(3, 6).to_dict() without timing_ms, as written before the
@@ -100,6 +100,14 @@ class TestLemmaSweep:
     def test_max_order_bound(self):
         with pytest.raises(ValueError, match="exceeds bound"):
             check_lemma(max_order=49)
+        with pytest.raises(ValueError, match="at least 1"):
+            check_lemma(max_order=0)
+
+    def test_smallest_max_order(self):
+        """The trivial group alone: one interval, no hit, so FAIL."""
+        report = check_lemma(max_order=1)
+        assert report.counts["groups"] == report.counts["intervals"] == 1
+        assert report.findings == [] and report.status == "FAIL"
 
     def test_report_48_matches_the_recorded_digest(self):
         report = check_lemma(max_order=48).to_dict()
@@ -144,6 +152,20 @@ class TestLemmaSweep:
             assert not c["rotation_simple"] and not c["n_eq_p_plus_1"]
             assert not f["ok"]
 
+    def test_quotient_of_the_wrong_prime_fails(self, monkeypatch):
+        """Fault injection: every quotient reads as dihedral of order 26.
+        13 is prime, so the rotations stay simple, but no catalog interval
+        up to order 24 is M_14, so each hit fails on n = m + 1 alone."""
+        monkeypatch.setattr(verify, "is_dihedral", lambda Q: 13)
+        report = check_lemma(max_order=24)
+        assert report.status == "FAIL" and report.findings
+        assert report.witnesses == [] and report.counterexamples == report.findings
+        for f in report.findings:
+            c = f["conclusions"]
+            assert c["h_normal"] and c["rotation_simple"]
+            assert c["two_index2_intermediates"]
+            assert not c["n_eq_p_plus_1"] and not f["ok"]
+
     def test_non_normal_subgroup_fails(self, monkeypatch):
         monkeypatch.setattr(verify, "is_normal", lambda G, H: False)
         report = check_lemma(max_order=24)
@@ -153,6 +175,40 @@ class TestLemmaSweep:
             c = f["conclusions"]
             assert not c["h_normal"] and c["quotient_dihedral_m"] is None
             assert not f["ok"]
+
+    def test_conclusions_on_every_interval(self, monkeypatch):
+        """Fault injection: every interval reads as M_48, so each one is a
+        hit whatever its shape.  The conclusions are then checked where they
+        can be false: h_normal against the core oracle, and the index-2 test
+        against a count over all subgroups.  n = 48 fails every hit."""
+        monkeypatch.setattr(verify, "_mn_of", lambda mids, leq: 48)
+        report = check_lemma(max_order=8)
+        assert report.counts["hypothesis_hits"] == report.counts["intervals"]
+        assert report.status == "FAIL" and report.witnesses == []
+        groups = dict(catalog(8))
+        counts = set()
+        for f in report.findings:
+            G = groups[f["group"]]
+            subs = {_subgroup_key(K): K for K in all_subgroups(G)}
+            H = subs[f["subgroup_key"]]
+            index2 = sum(1 for K in subs.values()
+                         if H._eset < K._eset < G._eset
+                         and K.order == 2 * H.order)
+            counts.add(index2)
+            c = f["conclusions"]
+            assert c["two_index2_intermediates"] == (index2 >= 2)
+            assert c["h_normal"] == (core(G, H) == H)
+            assert not c["n_eq_p_plus_1"] and not f["ok"]
+        assert {0, 1, 3} <= counts
+
+    def test_no_mn_interval_fails(self, monkeypatch):
+        """Fault injection: no interval reads as M_n, so the sweep has no
+        hypothesis hit and an empty sweep fails."""
+        monkeypatch.setattr(verify, "_mn_of", lambda mids, leq: None)
+        report = check_lemma(max_order=24)
+        assert report.status == "FAIL" and report.findings == []
+        assert report.counts["hypothesis_hits"] == 0
+        assert report.counts["mn_intervals"] == 0
 
     def test_report_json_deterministic_up_to_timing(self):
         a = check_lemma(max_order=6).to_dict()
@@ -191,6 +247,30 @@ class TestTheorem1:
         report = check_theorem1(2)
         assert report.status == "FAIL" and report.counts["hits"] == 0
         assert report.witnesses == [] and report.counterexamples == []
+
+    @pytest.mark.parametrize("p", [2, 3])
+    def test_every_transitive_group_a_hit_fails(self, p, monkeypatch):
+        """Fault injection: every transitive congruence lattice reads as
+        M_{p+1}.  The regular dihedral groups of order 2p stay the only
+        witnesses; every other hit is a counterexample, the non-regular ones
+        with an order other than their degree."""
+        monkeypatch.setattr(verify, "_mn_of", lambda mids, leq: p + 1)
+        report = check_theorem1(p)
+        assert report.status == "FAIL"
+        transitive = sum(f.get("transitive", 0) for f in report.findings)
+        assert report.counts["hits"] == transitive == (
+            len(report.witnesses) + len(report.counterexamples))
+        assert len(report.witnesses) == {2: 1, 3: 20}[p]
+        assert all((w["degree"], w["order"], w["regular"], w["dihedral_m"])
+                   == (2 * p, 2 * p, True, p) for w in report.witnesses)
+        seen = {(c["degree"], c["order"], c["regular"], c["dihedral_m"])
+                for c in report.counterexamples}
+        assert not any(regular and m == p for _, _, regular, m in seen)
+        irregular = [(d, order) for d, order, regular, _ in seen if not regular]
+        assert irregular and all(order != d for d, order in irregular)
+        # S3 on 3 points is dihedral of order 6 but not regular: at p = 3
+        # only the regularity conjunct keeps it from being a witness
+        assert (3, 6, False, 3) in seen
 
     @pytest.mark.parametrize("d,transitive", [(2, 1), (3, 2), (5, 20)])
     def test_prime_degree_rule(self, d, transitive, symmetric_subgroups):
