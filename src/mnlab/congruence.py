@@ -4,8 +4,9 @@ A congruence of a unary algebra is a partition compatible with every
 operation (x ~ y implies f(x) ~ f(y)).  The main route computes all
 congruences by generating principal ones and closing under join, on the
 coatom masks of ``partition_index`` for carriers of up to INDEX_SIZE_BOUND
-(7) points and with ``rgs_join`` above that; the oracle route filters every
-partition of the carrier.  ``galois_closure`` goes the other way: from a set
+(7) points and with ``rgs_join`` above that; the oracle route searches
+every partition of the carrier, dropping dead prefixes, exactly those that
+no congruence extends.  ``galois_closure`` goes the other way: from a set
 of partitions to all maps preserving them, and back to the congruence
 lattice of the resulting algebra.  Partitions are RGS sequences: plain
 tuples and ``Partition`` objects alike.
@@ -18,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .lattice import FinLattice
-from .partition import (INDEX_SIZE_BOUND, all_rgs, bell_number,
+from .partition import (INDEX_SIZE_BOUND, bell_number,
                         partition_index, rgs_canonical, rgs_is_valid, rgs_join)
 from .perm import PermGroup
 
@@ -55,19 +56,6 @@ def gset_algebra(action: PermGroup, name: Optional[str] = None) -> UnaryAlgebra:
     """
     return UnaryAlgebra(action.degree,
                         tuple(g.images for g in action.generators), name)
-
-
-def _rgs_preserved(rgs: Sequence[int], op: Sequence[int]) -> bool:
-    """True iff x ~ y (rgs) implies op(x) ~ op(y) (rgs)."""
-    pin: dict[int, int] = {}
-    for x, blk in enumerate(rgs):
-        img_blk = rgs[op[x]]
-        if blk in pin:
-            if pin[blk] != img_blk:
-                return False
-        else:
-            pin[blk] = img_blk
-    return True
 
 
 def _principal_rgs(size: int, ops: Sequence[Sequence[int]],
@@ -155,14 +143,46 @@ def all_congruences(A: UnaryAlgebra) -> FinLattice:
 
 
 def congruences_oracle(A: UnaryAlgebra) -> FinLattice:
-    """Brute-force route: keep every partition of the carrier that all
-    operations preserve.  Bounded by Bell numbers, so size <= 11."""
+    """Brute-force route: search every partition of the carrier, labelling
+    points in RGS order, and keep those all operations preserve.  The pair
+    (x, f(x)) is checked at step max(x, f(x)) against a pin, block -> image
+    block, per operation.  A prefix where one block maps into two is dead:
+    no step relabels a point, so no extension is preserved, and dropping it
+    loses nothing.  Bounded by Bell numbers, so size <= 11."""
     if A.size > ORACLE_SIZE_BOUND:
         raise ValueError(f"carrier size {A.size} exceeds oracle bound "
                          f"{ORACLE_SIZE_BOUND} (Bell({ORACLE_SIZE_BOUND}) = "
                          f"{bell_number(ORACLE_SIZE_BOUND)})")
-    keep = {rgs for rgs in all_rgs(A.size)
-            if all(_rgs_preserved(rgs, op) for op in A.ops)}
+    n = A.size
+    # due[x]: (pins of f, y, f(y)) for each op f and y with max(y, f(y)) == x
+    due: list[list] = [[] for _ in range(n)]
+    for op in A.ops:
+        pins = [-1] * n
+        for y, fy in enumerate(op):
+            due[max(y, fy)].append((pins, y, fy))
+    label = [0] * n
+    keep: set[tuple[int, ...]] = set()
+
+    def extend(x: int, blocks: int) -> None:
+        if x == n:
+            keep.add(tuple(label))
+            return
+        for b in range(blocks + 1):
+            label[x] = b
+            pinned = []
+            for pins, y, fy in due[x]:
+                blk, img = label[y], label[fy]
+                if pins[blk] == -1:
+                    pins[blk] = img
+                    pinned.append((pins, blk))
+                elif pins[blk] != img:
+                    break
+            else:
+                extend(x + 1, max(blocks, b + 1))
+            for pins, blk in pinned:
+                pins[blk] = -1
+
+    extend(0, 0)
     return _lattice_from_rgs(keep)
 
 

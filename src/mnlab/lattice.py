@@ -2,7 +2,8 @@
 
 A lattice over elements 0..n-1 is held as Python-int bitsets: ``up[i]`` has
 bit j set iff i <= j, and ``down`` is its transpose, with optional string
-labels.  Construction verifies that the order really is a lattice: a partial
+labels.  Construction walks each comparable pair once, filling ``down`` and
+``covers``, and verifies that the order really is a lattice: a partial
 order with unique bottom and top in which every pair has a join.  Only the
 pairs with a join-irreducible member (one lower cover) are tested: every
 other element above the bottom is the join of two of its lower covers, so
@@ -51,7 +52,9 @@ class NotALatticeError(ValueError):
 
 class FinLattice:
     """An immutable finite lattice over elements 0..n-1, given by its
-    up-sets: bit j of ``up[i]`` is set iff i <= j."""
+    up-sets: bit j of ``up[i]`` is set iff i <= j.  Construction sets
+    ``down``, the transpose, and ``covers``: bit j of ``covers[i]`` is set
+    iff j covers i (strictly above, nothing between)."""
 
     def __init__(self, up: Sequence[int], labels: Optional[Sequence[str]] = None):
         self.up = tuple(up)
@@ -62,23 +65,33 @@ class FinLattice:
         self._validate()
 
     def _validate(self) -> None:
-        """Check that ``up`` is a lattice order; set ``down``, ``bottom``
-        and ``top``."""
+        """Check that ``up`` is a lattice order; set ``down``, ``covers``,
+        ``bottom`` and ``top``."""
         up, n = self.up, self.n
         if n == 0:
             raise NotALatticeError("empty carrier has no bottom element")
         if any(u >> n for u in up):  # also true for a negative u
             raise ValueError(f"an up-set has a bit at or above n = {n}")
-        down = [0] * n
-        for i, u in enumerate(up):
-            for j in _bits(u):
-                down[j] |= 1 << i
-        self.down = tuple(down)
         if any(not u >> i & 1 for i, u in enumerate(up)):
             raise ValueError("order is not reflexive")
+        # One walk over the pairs i < j: fill down, and OR the strict up-sets
+        # of the j above i.  An antisymmetric order is transitive iff each
+        # such OR stays inside i's strict up-set; covers[i] is the rest of it.
+        strict = [u ^ 1 << i for i, u in enumerate(up)]
+        down = [1 << i for i in range(n)]
+        covers = []
+        stray = 0  # above some j > i but not above i
+        for i, s in enumerate(strict):
+            above = 0
+            for j in _bits(s):
+                down[j] |= 1 << i
+                above |= strict[j]
+            stray |= above & ~s
+            covers.append(s & ~above)
+        self.down, self.covers = tuple(down), tuple(covers)
         if any(u & d != 1 << i for i, (u, d) in enumerate(zip(up, down))):
             raise ValueError("order is not antisymmetric")
-        if any(up[j] & ~u for u in up for j in _bits(u)):
+        if stray:
             raise ValueError("order is not transitive")
         full = (1 << n) - 1
         if up.count(full) != 1:
@@ -123,19 +136,6 @@ class FinLattice:
 
     def leq(self, i: int, j: int) -> bool:
         return bool(self.up[i] >> j & 1)
-
-    @cached_property
-    def covers(self) -> tuple[int, ...]:
-        """Bit j of covers[i] is set iff j covers i (strictly above, nothing
-        between)."""
-        strict = [u & ~(1 << i) for i, u in enumerate(self.up)]
-        out = []
-        for s in strict:
-            above = 0
-            for k in _bits(s):
-                above |= strict[k]
-            out.append(s & ~above)
-        return tuple(out)
 
     @cached_property
     def _depths(self) -> tuple[int, ...]:

@@ -1,5 +1,6 @@
 """Congruence generation, the brute-force oracle, and the Galois closure."""
 
+import functools
 import itertools
 import random
 import re
@@ -10,7 +11,7 @@ from mnlab import (Partition, UnaryAlgebra, all_congruences,
                    congruences_oracle, cyclic, dihedral,
                    galois_closure, galois_is_closed, gset_algebra, klein,
                    preserving_maps, regular_action, symmetric)
-from mnlab.congruence import _congruence_set, _principal_rgs
+from mnlab.congruence import _congruence_set, _lattice_from_rgs, _principal_rgs
 from mnlab.partition import INDEX_SIZE_BOUND, rgs_canonical
 from mnlab.perm import PermGroup
 
@@ -26,6 +27,17 @@ def brute_force_maps(size, parts):
         if all(preserves(images, p) for p in parts):
             out.append(images)
     return out
+
+
+@functools.lru_cache(maxsize=None)
+def _partitions(size):
+    return tuple(all_partitions(size))
+
+
+def filtered_congruences(size, ops):
+    """Independent route: filter every partition through every op."""
+    return {tuple(p) for p in _partitions(size)
+            if all(preserves(op, p) for op in ops)}
 
 
 class TestGsetAlgebra:
@@ -204,6 +216,49 @@ class TestOracle:
                 assert ({rgs_canonical(b) for b in G.minimal_blocks()}
                         == {rgs[a] for a in L.atoms()})
         assert transitive == {4: 9, 5: 20, 6: 279}
+
+
+class TestOracleSearch:
+    """The oracle's pruned search against the plain filter over every
+    partition: the same RGS set, and the same lattice, labels included."""
+
+    @staticmethod
+    def check(size, ops):
+        L = congruences_oracle(UnaryAlgebra(size, ops))
+        want = filtered_congruences(size, ops)
+        assert {tuple(map(int, s.split(","))) for s in L.labels} == want
+        assert L == _lattice_from_rgs(want)
+        return L
+
+    def test_every_operation_on_up_to_four_points(self):
+        tables = [op for size in range(1, 5)
+                  for op in itertools.product(range(size), repeat=size)]
+        assert len(tables) == 288
+        for op in tables:
+            self.check(len(op), (op,))
+
+    def test_every_pair_of_operations_on_three_points(self):
+        tables = list(itertools.product(range(3), repeat=3))
+        pairs = list(itertools.product(tables, repeat=2))
+        assert len(pairs) == 729
+        for ops in pairs:
+            self.check(3, ops)
+
+    @pytest.mark.parametrize("size", [5, 6, 7, 8, 9])
+    def test_seeded_algebras(self, size):
+        rng = random.Random(size)
+        sizes = set()
+        for _ in range(6):
+            # ops into the first few points keep more partitions preserved
+            image = rng.randint(3, size)
+            ops = tuple(tuple(rng.randrange(image) for _ in range(size))
+                        for _ in range(rng.randint(1, 3)))
+            sizes.add(self.check(size, ops).n)
+        assert len(sizes) > 1
+
+    @pytest.mark.parametrize("size,bell", enumerate([1, 2, 5, 15, 52, 203, 877], 1))
+    def test_op_free_carrier_keeps_every_partition(self, size, bell):
+        assert congruences_oracle(UnaryAlgebra(size, ())).n == bell
 
 
 class TestPreservingMaps:

@@ -32,6 +32,38 @@ def subset_families(draw):
     return [frozenset(i for i in range(m) if x >> i & 1) for x in sorted(masks)]
 
 
+def seeded_families():
+    """300 seeded families of subsets of a 5-set, each with the empty and
+    the full set, as (family, leq) with leq the inclusion matrix."""
+    rng = random.Random(13)
+    for _ in range(300):
+        masks = {0, 31, *rng.sample(range(1, 31), rng.randint(4, 10))}
+        family = [frozenset(i for i in range(5) if x >> i & 1)
+                  for x in sorted(masks)]
+        yield family, np.array([[a <= b for b in family] for a in family])
+
+
+def bit_matrix(masks, n):
+    """Row i holds bits 0..n-1 of masks[i]."""
+    size = (n + 7) // 8
+    return np.array([np.unpackbits(np.frombuffer(m.to_bytes(size, "little"),
+                                                 np.uint8), bitorder="little")[:n]
+                     for m in masks], dtype=bool)
+
+
+def assert_walk_matches_definitions(L, leq):
+    """up, down, covers, bottom and top against the order matrix: j covers
+    i iff i < j with no k strictly between."""
+    n = len(leq)
+    lt = leq & ~np.eye(n, dtype=bool)
+    between = lt.astype(np.float32) @ lt.astype(np.float32)  # #k, i < k < j
+    assert (bit_matrix(L.up, n) == leq).all()
+    assert (bit_matrix(L.down, n) == leq.T).all()
+    assert (bit_matrix(L.covers, n) == (lt & (between == 0))).all()
+    assert [L.bottom] == np.flatnonzero(leq.all(axis=1)).tolist()
+    assert [L.top] == np.flatnonzero(leq.all(axis=0)).tolist()
+
+
 def subgroup_lattice(G):
     subs = all_subgroups(G)
     return FinLattice.from_inclusion([K._eset for K in subs],
@@ -88,13 +120,8 @@ class TestConstruction:
         """Seeded families of subsets of a 5-set, with the empty and the
         full set: whenever construction fails it names a pair with no join,
         and one member of the pair has exactly one lower cover."""
-        rng = random.Random(13)
         named = 0
-        for _ in range(300):
-            masks = {0, 31, *rng.sample(range(1, 31), rng.randint(4, 10))}
-            family = [frozenset(i for i in range(5) if x >> i & 1)
-                      for x in sorted(masks)]
-            leq = np.array([[a <= b for b in family] for a in family])
+        for family, leq in seeded_families():
             try:
                 FinLattice.from_inclusion(family)
             except NotALatticeError as err:
@@ -105,6 +132,25 @@ class TestConstruction:
             else:
                 assert is_lattice(leq)
         assert named >= 30
+
+    def test_walk_on_seeded_families(self):
+        built = 0
+        for family, leq in seeded_families():
+            if is_lattice(leq):
+                assert_walk_matches_definitions(
+                    FinLattice.from_inclusion(family), leq)
+                built += 1
+        assert built >= 250
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_walk_on_eq_n(self, n):
+        """Eq(n), with the refinement order read off the RGS labels."""
+        L = all_congruences(UnaryAlgebra(n, ()))
+        rgs = [tuple(map(int, s.split(","))) for s in L.labels]
+        related = np.array([[r[x] == r[y] for x in range(n) for y in range(x)]
+                            for r in rgs], dtype=bool)
+        leq = ~(related[:, None, :] & ~related[None, :, :]).any(axis=2)
+        assert_walk_matches_definitions(L, leq)
 
     def test_non_partial_order_rejected(self):
         with pytest.raises(ValueError, match="antisymmetric"):
@@ -118,6 +164,16 @@ class TestConstruction:
         # 0 <= 1 and 1 <= 2, but not 0 <= 2
         with pytest.raises(ValueError, match="transitive"):
             FinLattice([0b011, 0b110, 0b100])
+
+    def test_antisymmetry_reported_before_transitivity(self):
+        # 0 <= 1 <= 0, and 0 <= 1 <= 2 without 0 <= 2
+        with pytest.raises(ValueError, match="^order is not antisymmetric$"):
+            FinLattice([0b011, 0b111, 0b100])
+
+    def test_reflexivity_reported_first(self):
+        # not 0 <= 0, and 0 <= 1 <= 2 without 0 <= 2
+        with pytest.raises(ValueError, match="^order is not reflexive$"):
+            FinLattice([0b010, 0b110, 0b100])
 
     def test_out_of_range_bit_rejected(self):
         for up in ([0b111, 0b10], [-1, 0b10]):
