@@ -14,8 +14,7 @@ import sys
 from pathlib import Path
 from typing import Optional, Sequence
 
-from .congruence import (ORACLE_SIZE_BOUND, _congruence_set, all_congruences,
-                         congruences_oracle)
+from .congruence import ORACLE_SIZE_BOUND, all_congruences, congruences_oracle
 from .construct import GroupSpec, regular_action
 from .io import load_algebra, load_group, save_algebra, save_group
 from .lattice import FinLattice
@@ -85,7 +84,8 @@ def _cmd_con(args) -> int:
     payload = {
         "format": 1,
         "algebra": {"size": A.size, "ops": len(A.ops), "name": A.name},
-        "congruences": [list(r) for r in sorted(_congruence_set(A.size, A.ops))],
+        # each label is an RGS written as comma-separated block numbers
+        "congruences": sorted([int(x) for x in lab.split(",")] for lab in L.labels),
         "lattice": L.shape_report(),
     }
     if args.oracle:

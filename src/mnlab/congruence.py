@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 from .lattice import FinLattice
-from .partition import (INDEX_SIZE_BOUND, bell_number,
-                        partition_index, rgs_canonical, rgs_is_valid, rgs_join)
+from .partition import (INDEX_SIZE_BOUND, bell_number, partition_index,
+                        rgs_closure, rgs_is_valid, rgs_join)
 from .perm import PermGroup
 
 CON_SIZE_BOUND = 64
@@ -60,25 +60,9 @@ def gset_algebra(action: PermGroup, name: Optional[str] = None) -> UnaryAlgebra:
 
 def _principal_rgs(size: int, ops: Sequence[Sequence[int]],
                    a: int, b: int) -> tuple[int, ...]:
-    """Smallest compatible partition containing (a, b), by union-find closure."""
-    parent = list(range(size))
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    stack = [(a, b)]
-    while stack:
-        x, y = stack.pop()
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            continue
-        parent[rx] = ry
-        for op in ops:
-            stack.append((op[x], op[y]))
-    return rgs_canonical([find(i) for i in range(size)])
+    """Cg(a, b): the smallest compatible partition containing (a, b), which
+    is ``rgs_closure`` of the one pair under the ops."""
+    return rgs_closure(size, [(a, b)], ops)
 
 
 def _principals(size: int, ops: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:

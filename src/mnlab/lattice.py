@@ -214,9 +214,9 @@ class FinLattice:
             report["n"] = mn
         return report
 
-    def to_dot(self, name: str = "lattice") -> str:
+    def to_dot(self) -> str:
         """Hasse diagram (cover edges only) as a DOT digraph, bottom-up."""
-        lines = [f"digraph {name} {{", "  rankdir=BT;"]
+        lines = ["digraph lattice {", "  rankdir=BT;"]
         for i in range(self.n):
             lines.append(f'  n{i} [label="{self.labels[i]}"];')
         for i in range(self.n):

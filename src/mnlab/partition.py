@@ -4,6 +4,11 @@ The RGS of a partition assigns each element its block index, blocks numbered
 by first appearance (so rgs[0] = 0 and rgs[i] <= 1 + max of the prefix).
 The RGS is the value: a ``Partition`` is a tuple subclass equal to its RGS.
 
+``rgs_closure`` is the one union-find of the library: the finest partition
+relating some pairs and compatible with some maps.  A principal congruence
+Cg(a, b) of a unary algebra, the join of two partitions and the orbits of a
+group (in ``perm``) are all closures of this kind.
+
 For carriers of up to INDEX_SIZE_BOUND points, ``partition_index(n)`` interns
 every partition of an n-set by its position in ``all_rgs(n)`` order, so the
 top (all zeros) is id 0 and the bottom (all singletons) is the last id.  The
@@ -24,20 +29,16 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import chain
 from typing import Iterable, Iterator, Sequence
 
 INDEX_SIZE_BOUND = 7
 
 
-def rgs_canonical(labels: Sequence[int]) -> tuple[int, ...]:
+def rgs_canonical(labels: Iterable[int]) -> tuple[int, ...]:
     """Renumber arbitrary block labels by first appearance."""
     relabel: dict[int, int] = {}
-    out = []
-    for x in labels:
-        if x not in relabel:
-            relabel[x] = len(relabel)
-        out.append(relabel[x])
-    return tuple(out)
+    return tuple([relabel.setdefault(x, len(relabel)) for x in labels])
 
 
 def rgs_is_valid(rgs: Sequence[int]) -> bool:
@@ -57,10 +58,12 @@ def rgs_meet(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return rgs_canonical([ai * stride + bi for ai, bi in zip(a, b)])
 
 
-def rgs_join(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """Finest common coarsening, via union-find over both block structures."""
-    n = len(a)
-    parent = list(range(n))
+def rgs_closure(size: int, pairs: Iterable[tuple[int, int]],
+                ops: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """The finest partition of {0..size-1} that relates every pair and is
+    compatible with every op (x ~ y implies op[x] ~ op[y]), as a canonical
+    RGS: a union-find that queues (op[x], op[y]) on each merge of x and y."""
+    parent = list(range(size))
 
     def find(x: int) -> int:
         while parent[x] != x:
@@ -68,16 +71,36 @@ def rgs_join(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
             x = parent[x]
         return x
 
+    queue: list[tuple[int, int]] = []
+    for x, y in chain(pairs, queue):  # the queue grows while the loop reads it
+        rx, ry = find(x), find(y)
+        if rx != ry:
+            parent[rx] = ry
+            for op in ops:
+                queue.append((op[x], op[y]))
+    return rgs_canonical(map(find, range(size)))
+
+
+def rgs_join(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
+    """Finest common coarsening: the closure of the pairs that relate each
+    point to the first point of its block, in a and in b."""
+    pairs = []
     for rgs in (a, b):
         first: dict[int, int] = {}
         for i, blk in enumerate(rgs):
             if blk in first:
-                ri, rj = find(first[blk]), find(i)
-                if ri != rj:
-                    parent[ri] = rj
+                pairs.append((first[blk], i))
             else:
                 first[blk] = i
-    return rgs_canonical([find(i) for i in range(n)])
+    return rgs_closure(len(a), pairs, ())
+
+
+def _rgs_blocks(rgs: Sequence[int]) -> tuple[tuple[int, ...], ...]:
+    """The blocks of an RGS, each sorted, in order of least point."""
+    out: list[list[int]] = [[] for _ in range(max(rgs, default=-1) + 1)]
+    for i, b in enumerate(rgs):
+        out[b].append(i)
+    return tuple(tuple(b) for b in out)
 
 
 def rgs_refines(a: Sequence[int], b: Sequence[int]) -> bool:
@@ -200,10 +223,7 @@ class Partition(tuple):
         return max(self) + 1 if self else 0
 
     def blocks(self) -> tuple[tuple[int, ...], ...]:
-        out: list[list[int]] = [[] for _ in range(self.num_blocks)]
-        for i, b in enumerate(self):
-            out[b].append(i)
-        return tuple(tuple(b) for b in out)
+        return _rgs_blocks(self)
 
     def same(self, x: int, y: int) -> bool:
         return self[x] == self[y]

@@ -5,7 +5,8 @@ works on the equivalent ``bytes`` encoding so that composition is a single
 ``bytes.translate`` call.  Groups carry their full element set, closed under
 composition and inverse, in a canonical order (lexicographic on images), so
 two groups are equal exactly when they have the same degree and the same
-element set.
+element set.  Orbits are the blocks of ``partition.rgs_closure`` of the
+pairs (x, g(x)), the same union-find that closes congruences and joins.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Optional, Sequence
+
+from .partition import _rgs_blocks, rgs_closure
 
 MAX_DEGREE = 256  # points the bytes encoding can hold
 _PAD = bytes(range(MAX_DEGREE))
@@ -240,24 +243,10 @@ class PermGroup:
 
 def _orbits(degree: int, gens: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
     """Orbits on {0..degree-1} of the group generated by ``gens`` (image
-    bytes or lists), each sorted, in order of least point."""
-    parent = list(range(degree))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for g in gens:
-        for i, j in enumerate(g):
-            ri, rj = find(i), find(j)
-            if ri != rj:
-                parent[ri] = rj
-    groups: dict[int, list[int]] = {}
-    for i in range(degree):
-        groups.setdefault(find(i), []).append(i)
-    return [tuple(v) for v in sorted(groups.values())]
+    bytes or lists), each sorted, in order of least point: the blocks of the
+    closure of the pairs (i, g[i])."""
+    pairs = ((i, j) for g in gens for i, j in enumerate(g))
+    return list(_rgs_blocks(rgs_closure(degree, pairs, ())))
 
 
 def _small_genset(degree: int, eset: Iterable[bytes]) -> tuple[bytes, ...]:

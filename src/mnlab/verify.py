@@ -23,7 +23,6 @@ from .perm import (PermGroup, _orbits, _prime_power, _small_genset,
                    all_subgroups, is_dihedral, is_normal, quotient,
                    subgroup_records)
 
-LEMMA_ORDER_BOUND = 48
 THEOREM1_ENUM_DEGREE = 6
 THEOREM2_SIZE_BOUND = 6
 PRIME_DEGREE_RULE = (
@@ -77,8 +76,6 @@ def check_lemma(max_order: int = 24) -> VerificationReport:
     intermediate subgroups have index 2.  Each finding is a dict; it also
     reports whether the quotient's rotation subgroup is simple, which for a
     cyclic group of order m means m is prime."""
-    if max_order > LEMMA_ORDER_BOUND:
-        raise ValueError(f"max_order {max_order} exceeds bound {LEMMA_ORDER_BOUND}")
     if max_order < 1:
         raise ValueError(f"max_order must be at least 1, got {max_order}")
     t0 = time.perf_counter()

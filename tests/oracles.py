@@ -24,8 +24,15 @@ subgroup of ``subgroups_join_closure`` that equals its own core.
 ``all_partitions`` grows every RGS one element at a time, each element
 joining a block so far or opening the next one.  ``preserves`` checks a map
 on every related pair.  ``m_n`` writes down the up-sets of M_n.
+
+``closure_by_intersection`` is the definition of the least equivalence
+relation that contains some pairs and is compatible with some maps: the
+intersection of the related-pair sets of every partition that qualifies,
+with no union-find.  ``orbits_bfs`` walks each orbit breadth-first from its
+least point.
 """
 
+import collections
 import functools
 import itertools
 
@@ -216,3 +223,42 @@ def m_n(n):
     top = 1 << (n + 1)
     up = [(top << 1) - 1] + [1 << i | top for i in range(1, n + 1)] + [top]
     return FinLattice(up, ["0"] + [f"a{i}" for i in range(1, n + 1)] + ["1"])
+
+
+def closure_by_intersection(n, pairs, ops):
+    """The finest partition of {0..n-1} relating every pair in ``pairs`` and
+    preserved by every op, as a Partition: the pairs x < y related in every
+    partition of ``all_partitions(n)`` that contains ``pairs`` and that each
+    op preserves (the top always does)."""
+    related = None
+    for part in all_partitions(n):
+        if (all(part[x] == part[y] for x, y in pairs)
+                and all(preserves(op, part) for op in ops)):
+            rel = {(x, y) for x, y in itertools.combinations(range(n), 2)
+                   if part[x] == part[y]}
+            related = rel if related is None else related & rel
+    # number each block by first appearance, reading it off its least point
+    least = [min([x] + [w for w, v in related if v == x]) for x in range(n)]
+    first = sorted(set(least))
+    return Partition(first.index(m) for m in least)
+
+
+def orbits_bfs(degree, gens):
+    """The orbits of the group generated by ``gens`` (image sequences), each
+    sorted, in order of least point: a breadth-first walk from each point
+    not yet reached."""
+    reached = set()
+    orbits = []
+    for start in range(degree):
+        if start in reached:
+            continue
+        orbit, queue = {start}, collections.deque([start])
+        while queue:
+            x = queue.popleft()
+            for g in gens:
+                if g[x] not in orbit:
+                    orbit.add(g[x])
+                    queue.append(g[x])
+        reached |= orbit
+        orbits.append(tuple(sorted(orbit)))
+    return orbits

@@ -5,8 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
-from mnlab import verify
+import pytest
+
+from mnlab import all_congruences, cli, congruence, verify
 from mnlab.cli import main
+from mnlab.io import load_algebra
 
 THEOREM1_P3 = Path(__file__).parent / "data" / "theorem1_p3.json"
 
@@ -91,6 +94,33 @@ class TestWitnessAndCon:
         assert data["oracle"] == {"checked": True, "match": True}
         assert len(data["congruences"]) == 6
         assert dot.read_text().count("->") == 8
+
+    @pytest.mark.parametrize("p", [3, 5])
+    def test_con_builds_the_congruence_set_once(self, p, tmp_path, capsys,
+                                                monkeypatch):
+        algebra = tmp_path / "w.algebra"
+        run(["witness", "--p", str(p), "--out", str(algebra)], capsys)
+        A = load_algebra(algebra)
+        # the payload as written when the list came from a second build
+        want = {"format": 1,
+                "algebra": {"size": A.size, "ops": len(A.ops), "name": A.name},
+                "congruences": [list(r) for r in sorted(
+                    congruence._congruence_set(A.size, A.ops))],
+                "lattice": all_congruences(A).shape_report(),
+                "oracle": {"checked": False}}
+        calls = []
+        real = congruence._congruence_set
+
+        def counted(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(congruence, "_congruence_set", counted)
+        # a module that imported the name itself would bypass the patch above
+        monkeypatch.setattr(cli, "_congruence_set", counted, raising=False)
+        rc, stdout, _ = run(["con", str(algebra)], capsys)
+        assert rc == 0 and len(calls) == 1
+        assert stdout == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
     def test_witness_rejects_non_prime(self, capsys):
         rc, _, err = run(["witness", "--p", "4"], capsys)

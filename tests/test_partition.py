@@ -1,6 +1,7 @@
 """Restricted-growth-string partitions and their lattice operations."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given
@@ -8,9 +9,9 @@ from hypothesis import strategies as st
 
 from mnlab import Partition, bell_number
 from mnlab.partition import (all_rgs, partition_index, rgs_canonical,
-                             rgs_join, rgs_meet, rgs_refines)
+                             rgs_closure, rgs_join, rgs_meet, rgs_refines)
 
-from oracles import all_partitions
+from oracles import all_partitions, closure_by_intersection
 
 labelings = st.integers(1, 7).flatmap(
     lambda n: st.lists(st.integers(0, 4), min_size=n, max_size=n))
@@ -127,6 +128,43 @@ class TestLatticeOps:
             m, j = a & b, a | b
             assert m.refines(a) and m.refines(b)
             assert a.refines(j) and b.refines(j)
+            # the join is the least: the closure of both related-pair sets
+            pairs = [(x, y) for x, y in itertools.combinations(range(4), 2)
+                     if a[x] == a[y] or b[x] == b[y]]
+            assert j == closure_by_intersection(4, pairs, ())
+
+
+class TestClosure:
+    """``rgs_closure`` against the intersection of every partition that
+    relates the pairs and is compatible with the ops."""
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_pair_set_without_ops(self, n):
+        points = itertools.combinations_with_replacement(range(n), 2)
+        all_pairs = [(y, x) for x, y in points]  # reflexive ones included
+        for k in range(len(all_pairs) + 1):
+            for pairs in itertools.combinations(all_pairs, k):
+                assert rgs_closure(n, pairs, ()) == \
+                    closure_by_intersection(n, pairs, ()), pairs
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_every_op_with_each_pair(self, n):
+        pair_lists = [[]] + [[(a, b)] for a in range(n) for b in range(n)]
+        for op in itertools.product(range(n), repeat=n):
+            for pairs in pair_lists:
+                assert rgs_closure(n, pairs, [op]) == \
+                    closure_by_intersection(n, pairs, [op]), (op, pairs)
+
+    def test_seeded_cases_up_to_six_points(self):
+        rng = random.Random(15)
+        for _ in range(300):
+            n = rng.randint(1, 6)
+            ops = [tuple(rng.randrange(n) for _ in range(n))
+                   for _ in range(rng.randint(0, 3))]
+            pairs = [(rng.randrange(n), rng.randrange(n))
+                     for _ in range(rng.randint(0, 3))]
+            assert rgs_closure(n, pairs, ops) == \
+                closure_by_intersection(n, pairs, ops), (n, ops, pairs)
 
 
 class TestPartitionIndex:

@@ -4,11 +4,12 @@ import functools
 import hashlib
 import itertools
 import json
+import random
 from pathlib import Path
 
 import pytest
 
-from mnlab import (Partition, PermGroup, UnaryAlgebra, all_congruences,
+from mnlab import (Partition, Perm, PermGroup, UnaryAlgebra, all_congruences,
                    all_subgroups, catalog, check_lemma, check_theorem1,
                    check_theorem2, congruences_oracle, galois_is_closed,
                    gset_algebra, is_dihedral, minimal_representation, quotient,
@@ -19,7 +20,7 @@ from mnlab.perm import _orbits, mulclose
 from mnlab.verify import _atom_systems, _mn_of, _orbit_firsts, _subgroup_key
 
 from oracles import (atom_systems, core, is_simple, maximal_descent_closure,
-                     subgroups_bounded_gen, system_orbits)
+                     orbits_bfs, subgroups_bounded_gen, system_orbits)
 
 # check_theorem2(3, 6).to_dict() without timing_ms, as written before the
 # sweep Galois-checked one system per orbit
@@ -65,6 +66,14 @@ class TestEnumeration:
         assert len(_orbits(4, (bytes((1, 0, 3, 2)),))) == 2
         assert len(_orbits(4, (bytes((1, 2, 3, 0)),))) == 1
         assert len(_orbits(3, ())) == 3
+        rng = random.Random(15)
+        for _ in range(200):
+            degree = rng.randint(1, 12)
+            # one cycle on a random subset each, so some points stay fixed
+            gens = [Perm.from_cycles(degree, [rng.sample(
+                range(degree), rng.randint(1, degree))]).images
+                for _ in range(rng.randint(0, 3))]
+            assert _orbits(degree, gens) == orbits_bfs(degree, gens), gens
 
     def test_mn_of_congset(self):
         from mnlab import regular_action, klein
