@@ -2,10 +2,10 @@
 # Group actions as unary algebras, and their congruence lattices two ways:
 # principal-congruence generation vs. the brute-force partition filter.
 
-from mnlab import (all_congruences, all_subgroups, congruences_oracle,
-                   coset_action, cosets, cyclic, gset_algebra, iso_check,
-                   klein, regular_action, symmetric)
-from mnlab.lattice import FinLattice
+from mnlab import (Partition, all_congruences, all_subgroups,
+                   congruences_oracle, coset_action, cosets, cyclic,
+                   gset_algebra, interval, klein, regular_action, symmetric)
+from mnlab.partition import rgs_canonical
 
 # The regular Klein action gives a 4-element algebra with two operations,
 # the translations by the two generators.
@@ -26,15 +26,23 @@ print("Con(Z4 natural):", Lz.n, "congruences, chain:", Lz.is_chain())
 
 # For a transitive action on the cosets of H, the congruence lattice is a
 # copy of the subgroup interval I[H, G]: each intermediate subgroup K yields
-# the partition of cosets into K-orbits.
+# theta_K, which relates gH and g'H when gK = g'K.  The cosets are numbered
+# as the action numbers them, and each is labelled by the least member of
+# its K-coset.
 G = symmetric(3)
 H = next(K for K in all_subgroups(G) if K.order == 2)
 act, kernel = coset_action(G, H)
-print("coset action on", len(cosets(G, H)), "points; kernel order",
-      kernel.order)
+cos = cosets(G, H)
+print("coset action on", len(cos), "points; kernel order", kernel.order)
 
 Lcon = all_congruences(gset_algebra(act))
-subs = [K for K in all_subgroups(G) if H.is_subgroup_of(K)]
-Lint = FinLattice.from_inclusion([frozenset(K.elements) for K in subs])
-print("interval size:", Lint.n, "| Con size:", Lcon.n,
-      "| isomorphic:", iso_check(Lint, Lcon) is not None)
+subs = interval(G, H)
+thetas = [Partition(rgs_canonical(min(c.rep * k for k in K) for c in cos))
+          for K in subs]
+# K -> theta_K is an isomorphism onto Con: one-to-one, onto, and both ways
+# order-preserving
+iso = (len(set(thetas)) == len(subs)
+       and {",".join(map(str, t)) for t in thetas} == set(Lcon.labels)
+       and all(K1.is_subgroup_of(K2) == (t1 <= t2)
+               for K1, t1 in zip(subs, thetas) for K2, t2 in zip(subs, thetas)))
+print("interval size:", len(subs), "| Con size:", Lcon.n, "| isomorphic:", iso)

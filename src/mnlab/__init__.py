@@ -7,7 +7,7 @@ from .congruence import (UnaryAlgebra, all_congruences, congruences_oracle,
 from .construct import (CosetAction, GroupSpec, alternating, catalog,
                         coset_action, cyclic, dihedral, direct_product, klein,
                         quaternion, regular_action, symmetric)
-from .lattice import FinLattice, NotALatticeError, chain, iso_check
+from .lattice import FinLattice, NotALatticeError, chain
 from .partition import Partition, bell_number
 from .perm import (Coset, Perm, PermGroup, all_subgroups, cosets,
                    group_closure, interval, is_dihedral, is_normal, quotient)
@@ -24,7 +24,6 @@ __all__ = [
     "congruences_oracle", "coset_action", "cosets", "cyclic", "dihedral",
     "direct_product", "galois_closure", "galois_is_closed",
     "group_closure", "gset_algebra", "interval", "is_dihedral",
-    "is_normal", "iso_check", "klein", "minimal_representation",
-    "preserving_maps", "quaternion", "quotient", "regular_action",
-    "symmetric",
+    "is_normal", "klein", "minimal_representation", "preserving_maps",
+    "quaternion", "quotient", "regular_action", "symmetric",
 ]

@@ -39,7 +39,7 @@ def _check_format(data: dict, path: Pathish) -> None:
 def _read_json(path: Pathish):
     try:
         return json.loads(Path(path).read_text())
-    except ValueError as exc:  # not JSON, or not text
+    except (ValueError, RecursionError) as exc:  # not JSON, not text, or too deep
         raise FormatError(f"{path}: not a JSON file: {exc}") from exc
 
 

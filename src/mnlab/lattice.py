@@ -1,4 +1,4 @@
-"""Finite lattices on int bitsets: shape analysis, isomorphism, DOT diagrams.
+"""Finite lattices on int bitsets: shape analysis and DOT diagrams.
 
 A lattice over elements 0..n-1 is held as Python-int bitsets: ``up[i]`` has
 bit j set iff i <= j, and ``down`` is its transpose, with optional string
@@ -17,8 +17,6 @@ from __future__ import annotations
 
 from functools import cached_property
 from typing import Callable, Collection, Iterator, Optional, Sequence
-
-ISO_SIZE_BOUND = 24
 
 
 def _bits(x: int) -> Iterator[int]:
@@ -138,19 +136,14 @@ class FinLattice:
         return bool(self.up[i] >> j & 1)
 
     @cached_property
-    def _depths(self) -> tuple[int, ...]:
-        """Longest chain from the bottom up to each element."""
-        h = [0] * self.n
+    def height(self) -> int:
+        """Longest chain length minus one."""
+        h = [0] * self.n  # longest chain from the bottom up to each element
         # by down-set size, a linear extension: lower covers come first
         for i in sorted(range(self.n), key=lambda k: self.down[k].bit_count()):
             for j in _bits(self.covers[i]):
                 h[j] = max(h[j], h[i] + 1)
-        return tuple(h)
-
-    @cached_property
-    def height(self) -> int:
-        """Longest chain length minus one."""
-        return max(self._depths)
+        return max(h)
 
     def atoms(self) -> list[int]:
         return list(_bits(self.covers[self.bottom]))
@@ -231,56 +224,3 @@ def chain(k: int) -> FinLattice:
     if k < 1:
         raise ValueError("k must be >= 1")
     return FinLattice([(1 << k) - (1 << i) for i in range(k)])
-
-
-def _profiles(L: FinLattice) -> list[tuple[int, int, int, int]]:
-    return [(L._depths[i], L.down[i].bit_count(), L.up[i].bit_count(),
-             sum(c >> i & 1 for c in L.covers) * 32 + L.covers[i].bit_count())
-            for i in range(L.n)]
-
-
-def iso_check(L1: FinLattice, L2: FinLattice) -> Optional[list[int]]:
-    """An order isomorphism L1 -> L2 as an image list, or None.
-
-    Backtracking over bijections that respect each element's rank profile
-    (depth, down-set size, up-set size, cover degrees); sizes capped at 24.
-    """
-    if L1.n > ISO_SIZE_BOUND or L2.n > ISO_SIZE_BOUND:
-        raise ValueError(f"iso_check is capped at {ISO_SIZE_BOUND} elements")
-    if L1.n != L2.n:
-        return None
-    p1, p2 = _profiles(L1), _profiles(L2)
-    if sorted(p1) != sorted(p2):
-        return None
-    candidates = [[j for j in range(L2.n) if p2[j] == p1[i]] for i in range(L1.n)]
-    # most constrained elements first
-    order = sorted(range(L1.n), key=lambda i: len(candidates[i]))
-    image: list[Optional[int]] = [None] * L1.n
-    used = [False] * L2.n
-
-    def extend(k: int) -> bool:
-        if k == L1.n:
-            return True
-        i = order[k]
-        for j in candidates[i]:
-            if used[j]:
-                continue
-            ok = True
-            for i2 in order[:k]:
-                j2 = image[i2]
-                if (L1.leq(i, i2) != L2.leq(j, j2)
-                        or L1.leq(i2, i) != L2.leq(j2, j)):
-                    ok = False
-                    break
-            if ok:
-                image[i] = j
-                used[j] = True
-                if extend(k + 1):
-                    return True
-                image[i] = None
-                used[j] = False
-        return False
-
-    if extend(0):
-        return list(image)  # type: ignore[arg-type]
-    return None

@@ -218,10 +218,6 @@ class Partition(tuple):
     def rgs(self) -> tuple[int, ...]:
         return tuple(self)
 
-    @property
-    def num_blocks(self) -> int:
-        return max(self) + 1 if self else 0
-
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         return _rgs_blocks(self)
 

@@ -14,8 +14,8 @@ import hashlib
 import time
 from dataclasses import dataclass, field
 
-from .congruence import (UnaryAlgebra, _congruence_set, all_congruences,
-                         galois_is_closed, gset_algebra)
+from .congruence import (CON_SIZE_BOUND, UnaryAlgebra, _congruence_set,
+                         all_congruences, galois_is_closed, gset_algebra)
 from .construct import catalog, dihedral, regular_action, symmetric
 from .lattice import FinLattice, _mn_of
 from .partition import partition_index, rgs_canonical, rgs_refines
@@ -338,6 +338,9 @@ def minimal_representation(p: int) -> tuple[UnaryAlgebra, FinLattice]:
     """The size-2p unary algebra whose congruence lattice is M_{p+1}: the
     regular action of the order-2p dihedral group, one operation for the
     rotation generator and one for the reflection generator."""
+    if not 2 <= 2 * p <= CON_SIZE_BOUND:  # before any work that grows with p
+        raise ValueError(f"carrier size 2p = {2 * p} outside 2..{CON_SIZE_BOUND};"
+                         " the largest prime p is 31")
     if _prime_power(p) != p:
         raise ValueError(f"p must be prime, got {p}")
     A = gset_algebra(regular_action(dihedral(p)), name=f"regular-D{2 * p}-set")

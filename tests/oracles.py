@@ -30,6 +30,10 @@ relation that contains some pairs and is compatible with some maps: the
 intersection of the related-pair sets of every partition that qualifies,
 with no union-find.  ``orbits_bfs`` walks each orbit breadth-first from its
 least point.
+
+``point_blocks`` is the block system a subgroup K above the stabilizer of
+point 0 gives a transitive group G: the images g(K(0)) of the orbit of 0
+under K, found by applying every element of G, with no closure.
 """
 
 import collections
@@ -262,3 +266,18 @@ def orbits_bfs(degree, gens):
         reached |= orbit
         orbits.append(tuple(sorted(orbit)))
     return orbits
+
+
+def point_blocks(G, K):
+    """The partition of the points of a transitive G into the blocks
+    g(K(0)), g in G, as an RGS.  K must lie between the stabilizer of 0 and
+    G, so that K(0), the orbit of 0 under K, is a block."""
+    orbit = {k[0] for k in K._eset}
+    least = [None] * G.degree  # each point's block, named by its least point
+    for g in G._eset:
+        if least[g[0]] is None:
+            block = [g[x] for x in orbit]
+            for y in block:
+                least[y] = min(block)
+    first = {}
+    return tuple(first.setdefault(m, len(first)) for m in least)

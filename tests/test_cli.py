@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -126,6 +127,17 @@ class TestWitnessAndCon:
         rc, _, err = run(["witness", "--p", "4"], capsys)
         assert rc == 2 and "prime" in err
 
+    @pytest.mark.parametrize("p", [37, 1_000_000_007, 10**20 + 39])
+    def test_witness_checks_the_carrier_bound_first(self, p, capsys):
+        # a prime this large would take the primality test or dihedral(p)
+        # hours or gigabytes
+        start = time.perf_counter()
+        rc, stdout, err = run(["witness", "--p", str(p)], capsys)
+        assert time.perf_counter() - start < 1.0
+        assert rc == 2 and stdout == ""
+        assert err == (f"mnlab: error: carrier size 2p = {2 * p} outside 2..64;"
+                       " the largest prime p is 31\n")
+
     def test_con_missing_file(self, tmp_path, capsys):
         rc, _, err = run(["con", str(tmp_path / "nope.algebra")], capsys)
         assert rc == 2
@@ -146,8 +158,10 @@ class TestWitnessAndCon:
                 assert err.startswith("mnlab: error: ") and str(path) in err
         rc, stdout, err = run(["con", str(tmp_path)], capsys)  # a directory
         assert rc == 2 and stdout == "" and str(tmp_path) in err
-        # not JSON at all: an empty file and a truncated one
-        for name, text in (("empty", ""), ("truncated", '{"size": 2, "ops": [[0')):
+        # not JSON at all: an empty file, a truncated one and one nested past
+        # the recursion limit
+        for name, text in (("empty", ""), ("truncated", '{"size": 2, "ops": [[0'),
+                           ("nested", "[" * 100_000)):
             path = tmp_path / f"{name}.json"
             path.write_text(text)
             for argv in (["con", str(path)], ["interval", str(g), str(path)]):

@@ -12,10 +12,11 @@ from mnlab import (Partition, UnaryAlgebra, all_congruences,
                    galois_closure, galois_is_closed, gset_algebra, klein,
                    preserving_maps, regular_action, symmetric)
 from mnlab.congruence import _congruence_set, _lattice_from_rgs, _principal_rgs
-from mnlab.partition import INDEX_SIZE_BOUND, rgs_canonical
+from mnlab.partition import INDEX_SIZE_BOUND, rgs_canonical, rgs_refines
 from mnlab.perm import PermGroup
 
-from oracles import all_partitions, atom_systems, preserves
+from oracles import (all_partitions, atom_systems, orbits_bfs, point_blocks,
+                     preserves)
 
 KLEIN_REGULAR = gset_algebra(regular_action(klein()))
 
@@ -216,6 +217,31 @@ class TestOracle:
                 assert ({rgs_canonical(b) for b in G.minimal_blocks()}
                         == {rgs[a] for a in L.atoms()})
         assert transitive == {4: 9, 5: 20, 6: 279}
+
+
+def test_interval_map_of_natural_actions(symmetric_subgroups):
+    """For every transitive subgroup G of S_d, d <= 6, with G_0 the
+    stabilizer of 0: K -> blocks g(K(0)) maps [G_0, G] one-to-one onto the
+    congruences of G's natural action, and K1 <= K2 iff the first block
+    system refines the second."""
+    groups = members = 0
+    for d in range(1, 7):
+        subs = symmetric_subgroups(d)
+        for G in subs:
+            gens = [g.images for g in G.generators]
+            if len(orbits_bfs(d, gens)) != 1:
+                continue
+            stabilizer = {g for g in G._eset if g[0] == 0}
+            iv = [K for K in subs if stabilizer <= K._eset <= G._eset]
+            blocks = [point_blocks(G, K) for K in iv]
+            assert len(set(blocks)) == len(iv)
+            assert set(blocks) == _congruence_set(d, gens)
+            for K1, b1 in zip(iv, blocks):
+                for K2, b2 in zip(iv, blocks):
+                    assert (K1._eset <= K2._eset) == rgs_refines(b1, b2)
+            groups += 1
+            members += len(iv)
+    assert (groups, members) == (312, 1077)
 
 
 class TestOracleSearch:

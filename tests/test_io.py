@@ -99,3 +99,12 @@ def test_rejects_group_above_order_bound():
 def test_rejects_non_string_algebra_name(name):
     with pytest.raises(FormatError, match="a.json: name must be a string"):
         algebra_from_dict({"size": 2, "ops": [[1, 0]], "name": name}, "a.json")
+
+
+@pytest.mark.parametrize("text", ["[" * 100_000, "[" * 100_000 + "]" * 100_000])
+def test_rejects_json_nested_past_the_recursion_limit(tmp_path, text):
+    path = tmp_path / "deep.json"
+    path.write_text(text)
+    for load in (load_algebra, load_group):
+        with pytest.raises(FormatError, match="deep.json: not a JSON file"):
+            load(path)

@@ -1,4 +1,4 @@
-"""Finite lattice representation, shape detection, isomorphism, DOT output."""
+"""Finite lattice representation, shape detection, DOT output."""
 
 import os
 import random
@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from mnlab import (FinLattice, NotALatticeError, UnaryAlgebra,
                    all_congruences, all_subgroups, chain, cyclic, gset_algebra,
-                   iso_check, klein, regular_action, symmetric)
+                   klein, regular_action, symmetric)
 from mnlab.congruence import _congruence_set
 from mnlab.partition import rgs_join, rgs_meet
 
@@ -234,38 +234,6 @@ class TestShape:
             for j in range(L.n):
                 assert rgs[L.meet(i, j)] == rgs_meet(rgs[i], rgs[j])
                 assert rgs[L.join(i, j)] == rgs_join(rgs[i], rgs[j])
-
-
-class TestIso:
-    def test_sub_s3_iso_con_regular_s3(self):
-        L1 = subgroup_lattice(symmetric(3))
-        L2 = all_congruences(gset_algebra(regular_action(symmetric(3))))
-        image = iso_check(L1, L2)
-        assert image is not None
-        for i in range(L1.n):
-            for j in range(L1.n):
-                assert L1.leq(i, j) == L2.leq(image[i], image[j])
-
-    def test_different_sizes(self):
-        assert iso_check(m_n(3), chain(3)) is None
-
-    def test_same_size_different_shape(self):
-        assert iso_check(m_n(3), chain(5)) is None
-
-    def test_self_iso(self):
-        L = m_n(4)
-        assert iso_check(L, L) is not None
-
-    def test_symmetric_on_samples(self):
-        samples = [m_n(3), m_n(5), chain(4),
-                   subgroup_lattice(symmetric(3)), subgroup_lattice(cyclic(12))]
-        for L1 in samples:
-            for L2 in samples:
-                assert (iso_check(L1, L2) is None) == (iso_check(L2, L1) is None)
-
-    def test_size_cap(self):
-        with pytest.raises(ValueError, match="capped"):
-            iso_check(m_n(23), m_n(23))
 
 
 class TestDot:

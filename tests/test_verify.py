@@ -14,7 +14,7 @@ from mnlab import (Partition, Perm, PermGroup, UnaryAlgebra, all_congruences,
                    check_theorem2, congruences_oracle, galois_is_closed,
                    gset_algebra, is_dihedral, minimal_representation, quotient,
                    symmetric, verify)
-from mnlab.congruence import _congruence_set
+from mnlab.congruence import CON_SIZE_BOUND, _congruence_set
 from mnlab.partition import rgs_join, rgs_meet, rgs_refines
 from mnlab.perm import _orbits, mulclose
 from mnlab.verify import _atom_systems, _mn_of, _orbit_firsts, _subgroup_key
@@ -451,6 +451,17 @@ class TestMinimalRepresentation:
     def test_rejects_non_prime(self):
         with pytest.raises(ValueError, match="prime"):
             minimal_representation(6)
+
+    def test_carrier_bound_admits_primes_up_to_31(self):
+        largest = max(q for q in range(2, CON_SIZE_BOUND // 2 + 1)
+                      if all(q % r for r in range(2, q)))
+        assert largest == 31
+        assert minimal_representation(31)[0].size == 62
+        for p in (0, 37, 10**20 + 39):
+            with pytest.raises(ValueError, match=(
+                    f"^carrier size 2p = {2 * p} outside 2..64;"
+                    " the largest prime p is 31$")):
+                minimal_representation(p)
 
     def test_lattice_agrees_with_direct_computation(self):
         A, L = minimal_representation(3)
