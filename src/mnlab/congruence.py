@@ -54,8 +54,7 @@ def gset_algebra(action: PermGroup, name: Optional[str] = None) -> UnaryAlgebra:
     A partition is compatible with the whole group exactly when it is
     compatible with the generators, so the generator tables suffice.
     """
-    return UnaryAlgebra(action.degree,
-                        tuple(g.images for g in action.generators), name)
+    return UnaryAlgebra(action.degree, action.generators, name)
 
 
 def _principal_rgs(size: int, ops: Sequence[Sequence[int]],

@@ -112,7 +112,7 @@ def coset_action(G: PermGroup, H: PermGroup) -> CosetAction:
     _require_subgroup(G, H)
     image = dict(zip(G.elements, _on_cosets(G, H, G.elements)))
     action = group_closure(G.order // H.order, [image[g] for g in G.generators])
-    kernel_eset = {p._b for p, q in image.items() if q.is_identity()}
+    kernel_eset = {p for p, q in image.items() if q.is_identity()}
     kernel = PermGroup._from_eset(G.degree, kernel_eset,
                                   _small_genset(G.degree, kernel_eset))
     return CosetAction(action, kernel)

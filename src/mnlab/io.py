@@ -65,7 +65,7 @@ def group_from_dict(data: dict, path: Pathish = "<group>") -> PermGroup:
     _check_format(data, path)
     try:
         degree = _int(data["degree"])
-        gens = [Perm(map(_int, img))._b for img in data["generators"]]
+        gens = [Perm(map(_int, img)) for img in data["generators"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: bad group file: {exc}") from exc
     if not 1 <= degree <= MAX_DEGREE:

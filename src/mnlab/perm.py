@@ -1,12 +1,13 @@
 """Permutations on {0..d-1} and finite permutation groups.
 
-Permutations are stored as image tuples (0-based); internally every hot loop
-works on the equivalent ``bytes`` encoding so that composition is a single
-``bytes.translate`` call.  Groups carry their full element set, closed under
-composition and inverse, in a canonical order (lexicographic on images), so
-two groups are equal exactly when they have the same degree and the same
-element set.  Orbits are the blocks of ``partition.rgs_closure`` of the
-pairs (x, g(x)), the same union-find that closes congruences and joins.
+A permutation is its image bytes: ``Perm`` is a ``bytes`` subclass whose byte
+x is the image of x (0-based), so it equals, hashes and sorts as those bytes,
+and composition is a single ``bytes.translate`` call.  Groups carry their full
+element set, closed under composition and inverse, in a canonical order
+(lexicographic on images), so two groups are equal exactly when they have the
+same degree and the same element set.  Orbits are the blocks of
+``partition.rgs_closure`` of the pairs (x, g(x)), the same union-find that
+closes congruences and joins.
 """
 
 from __future__ import annotations
@@ -84,26 +85,22 @@ def mulclose(degree: int, gens: Iterable[bytes], *, seed: Iterable[bytes] = (),
     return seen
 
 
-class Perm:
-    """A permutation of {0..d-1}, stored as the tuple of images."""
+class Perm(bytes):
+    """A permutation of {0..d-1}: the bytes of its images, so p[x] = p(x)."""
 
-    __slots__ = ("images", "_b")
+    __slots__ = ()
 
-    def __init__(self, images: Iterable[int]):
+    def __new__(cls, images: Iterable[int]) -> "Perm":
         images = tuple(images)
         if len(images) > MAX_DEGREE:
             raise ValueError(f"degree {len(images)} exceeds bound {MAX_DEGREE}")
         if sorted(images) != list(range(len(images))):
             raise ValueError(f"not a bijection on 0..{len(images) - 1}: {images!r}")
-        self.images = images
-        self._b = bytes(images)
+        return super().__new__(cls, images)
 
     @classmethod
     def _raw(cls, b: bytes) -> "Perm":
-        p = object.__new__(cls)
-        p.images = tuple(b)
-        p._b = b
-        return p
+        return bytes.__new__(cls, b)  # unchecked: b is known to be a bijection
 
     @classmethod
     def identity(cls, degree: int) -> "Perm":
@@ -118,53 +115,45 @@ class Perm:
         return cls(images)
 
     @property
+    def images(self) -> tuple[int, ...]:
+        return tuple(self)
+
+    @property
     def degree(self) -> int:
-        return len(self._b)
+        return len(self)
 
     def __call__(self, x: int) -> int:
-        return self._b[x]
+        return self[x]
 
     def __mul__(self, other: "Perm") -> "Perm":
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
-        return Perm._raw(_compose(self._b, other._b))
+        if len(self) != len(other):
+            raise ValueError(f"degree mismatch: {len(self)} vs {len(other)}")
+        return Perm._raw(_compose(self, other))
 
     def __invert__(self) -> "Perm":
-        return Perm._raw(_inverse(self._b))
+        return Perm._raw(_inverse(self))
 
     def order(self) -> int:
-        return _order_of(self._b)
+        return _order_of(self)
 
     def is_identity(self) -> bool:
-        return self._b == bytes(range(self.degree))
+        return self == _PAD[:len(self)]
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least point."""
         seen = [False] * self.degree
         out = []
         for i in range(self.degree):
-            if not seen[i] and self._b[i] != i:
+            if not seen[i] and self[i] != i:
                 cyc = [i]
                 seen[i] = True
-                j = self._b[i]
+                j = self[i]
                 while j != i:
                     cyc.append(j)
                     seen[j] = True
-                    j = self._b[j]
+                    j = self[j]
                 out.append(tuple(cyc))
         return out
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, Perm) and self._b == other._b
-
-    def __lt__(self, other: "Perm") -> bool:
-        return self._b < other._b
-
-    def __le__(self, other: "Perm") -> bool:
-        return self._b <= other._b
-
-    def __hash__(self) -> int:
-        return hash(self._b)
 
     def __str__(self) -> str:
         cycs = self.cycles()
@@ -184,22 +173,19 @@ class PermGroup:
     equality means same degree and same element set.
     """
 
-    __slots__ = ("degree", "generators", "elements", "_eset", "_hash")
+    __slots__ = ("degree", "generators", "elements", "_eset")
 
-    def __init__(self, degree: int, generators: Sequence[Perm],
-                 elements: Sequence[Perm], _eset: Optional[frozenset] = None):
+    def __init__(self, degree: int, generators: Iterable[Perm],
+                 elements: Iterable[Perm]):
         self.degree = degree
         self.generators = tuple(generators)
         self.elements = tuple(elements)
-        self._eset = _eset if _eset is not None else frozenset(p._b for p in elements)
-        self._hash = None
+        self._eset = frozenset(self.elements)
 
     @classmethod
     def _from_eset(cls, degree: int, eset: Iterable[bytes],
                    gens: Iterable[bytes] = ()) -> "PermGroup":
-        elems = tuple(Perm._raw(b) for b in sorted(eset))
-        gens = tuple(Perm._raw(b) for b in gens)
-        return cls(degree, gens, elems, frozenset(e._b for e in elems))
+        return cls(degree, map(Perm._raw, gens), map(Perm._raw, sorted(eset)))
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
@@ -211,7 +197,7 @@ class PermGroup:
 
     def key(self) -> tuple:
         """Canonical identity of the group: degree plus sorted element images."""
-        return (self.degree, tuple(p._b for p in self.elements))
+        return (self.degree, self.elements)
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -219,17 +205,15 @@ class PermGroup:
     def __iter__(self) -> Iterator[Perm]:
         return iter(self.elements)
 
-    def __contains__(self, p: Perm) -> bool:
-        return p._b in self._eset
+    def __contains__(self, p: bytes) -> bool:
+        return p in self._eset
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, PermGroup) and self.degree == other.degree
                 and self._eset == other._eset)
 
     def __hash__(self) -> int:
-        if self._hash is None:
-            self._hash = hash((self.degree, self._eset))
-        return self._hash
+        return hash((self.degree, self._eset))
 
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"
@@ -238,7 +222,7 @@ class PermGroup:
         return self.degree == other.degree and self._eset <= other._eset
 
     def orbits(self) -> list[tuple[int, ...]]:
-        return _orbits(self.degree, (g._b for g in self.generators))
+        return _orbits(self.degree, self.generators)
 
 
 def _orbits(degree: int, gens: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
@@ -268,9 +252,7 @@ def group_closure(degree: int, gens: Iterable[Perm]) -> PermGroup:
         if g.degree != degree:
             raise ValueError(f"degree mismatch: generator {g!r} has degree "
                              f"{g.degree}, expected {degree}")
-    eset = mulclose(degree, [g._b for g in gens])
-    elems = tuple(Perm._raw(b) for b in sorted(eset))
-    return PermGroup(degree, gens, elems)
+    return PermGroup(degree, gens, map(Perm._raw, sorted(mulclose(degree, gens))))
 
 
 def _require_subgroup(G: PermGroup, H: PermGroup) -> None:
@@ -313,15 +295,16 @@ def subgroup_records(G: PermGroup) -> dict[frozenset, tuple[bytes, ...]]:
         raise ValueError(f"group order {G.order} exceeds bound {DEFAULT_ORDER_BOUND}")
     degree = G.degree
     ident = bytes(range(degree))
-    full_key = G._eset
+    elems = [bytes(p) for p in G.elements]  # exact bytes keep the hot loops fast
+    full_key = frozenset(elems)
     # largest possible proper-subgroup order; a closure past it must be G
     largest_proper = G.order // min(
         (p for p in range(2, G.order + 1) if G.order % p == 0), default=1)
     # one shared bytes object per element keeps the element sets small
-    intern = {b: b for b in full_key}
+    intern = {b: b for b in elems}
     # (table of c, inverse of c) per element c: c.y.c^-1 = (c.y) composed c^-1
-    conj_of = {p._b: (_table(p._b), _inverse(p._b)) for p in G.elements}
-    conj_by = [conj_of[c._b] for c in G.generators]
+    conj_of = {b: (_table(b), _inverse(b)) for b in elems}
+    conj_by = [conj_of[c] for c in G.generators]
 
     def conjugate(xs: Iterable[bytes], tc: bytes, cinv: bytes) -> tuple[bytes, ...]:
         return tuple(intern[cinv.translate(_table(y.translate(tc)))] for y in xs)
@@ -330,7 +313,7 @@ def subgroup_records(G: PermGroup) -> dict[frozenset, tuple[bytes, ...]]:
         return all(cinv.translate(_table(h.translate(tc))) in eset for h in gens)
 
     subs: dict[frozenset, tuple[bytes, ...]] = {
-        full_key: tuple(g._b for g in G.generators),
+        full_key: tuple(intern[g] for g in G.generators),
         frozenset({ident}): (),
     }
     reps: deque[tuple[frozenset, tuple[bytes, ...]]] = deque()
@@ -352,9 +335,9 @@ def subgroup_records(G: PermGroup) -> dict[frozenset, tuple[bytes, ...]]:
 
     cyc: dict[frozenset, tuple[bytes, ...]] = {}
     unit_of: dict[bytes, bytes] = {}  # x -> the least generator of <x>
-    for p in G.elements[1:]:  # every nontrivial cyclic subgroup; identity is first
-        eset = frozenset(intern[x] for x in mulclose(degree, (p._b,)))
-        unit_of[p._b] = cyc.setdefault(eset, (p._b,))[0]
+    for b in elems[1:]:  # every nontrivial cyclic subgroup; identity is first
+        eset = frozenset(intern[x] for x in mulclose(degree, (b,)))
+        unit_of[b] = cyc.setdefault(eset, (b,))[0]
     for eset, gens in cyc.items():
         if eset not in subs:
             add_class(eset, gens)
@@ -421,40 +404,37 @@ class Coset:
 def cosets(G: PermGroup, H: PermGroup) -> list[Coset]:
     """Left cosets gH, ordered by representative (least member)."""
     _require_subgroup(G, H)
-    hset = [p._b for p in H.elements]
     covered: set[bytes] = set()
     out = []
     for p in G.elements:  # ascending, so the first hit in a coset is its min
-        if p._b in covered:
+        if p in covered:
             continue
-        members = sorted(_compose(p._b, h) for h in hset)
+        members = sorted(_compose(p, h) for h in H.elements)
         covered.update(members)
-        out.append(Coset(Perm._raw(members[0]),
-                         tuple(Perm._raw(b) for b in members)))
+        out.append(Coset(p, tuple(map(Perm._raw, members))))
     return out
 
 
 def _on_cosets(G: PermGroup, H: PermGroup, xs: Iterable[Perm]) -> list[Perm]:
     """Each x of G acting on the left cosets of H by left multiplication, the
     cosets numbered by least member in the order of ``cosets``."""
-    hs = [h._b for h in H.elements]
     number: dict[bytes, int] = {}
     reps: list[bytes] = []
     for p in G.elements:  # ascending, so the first hit in a coset is its min
-        if p._b not in number:
-            t = _table(p._b)
-            for h in hs:
+        if p not in number:
+            t = _table(p)
+            for h in H.elements:
                 number[h.translate(t)] = len(reps)
-            reps.append(p._b)
-    return [Perm([number[_compose(x._b, r)] for r in reps]) for x in xs]
+            reps.append(p)
+    return [Perm([number[_compose(x, r)] for r in reps]) for x in xs]
 
 
 def is_normal(G: PermGroup, H: PermGroup) -> bool:
     """True iff gHg^-1 = H for every generator g of G."""
     _require_subgroup(G, H)
     for g in G.generators:
-        gb, gi = g._b, _inverse(g._b)
-        conj = {_compose(_compose(gb, h), gi) for h in H._eset}
+        gi = _inverse(g)
+        conj = {_compose(_compose(g, h), gi) for h in H.elements}
         if conj != H._eset:
             return False
     return True
@@ -480,11 +460,10 @@ def is_dihedral(G: PermGroup) -> Optional[int]:
     if n < 4 or n % 2:
         return None
     m = n // 2
-    elems = [p._b for p in G.elements]
-    if not any(_order_of(b) == m for b in elems):
+    if not any(_order_of(b) == m for b in G.elements):
         return None
     ident = bytes(range(G.degree))
-    invs = [b for b in elems if b != ident and _compose(b, b) == ident]
+    invs = [b for b in G.elements if b != ident and _compose(b, b) == ident]
     for i, a in enumerate(invs):
         for b in invs[i + 1:]:
             if len(mulclose(G.degree, (a, b))) == n:

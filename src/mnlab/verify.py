@@ -32,7 +32,7 @@ PRIME_DEGREE_RULE = (
 
 
 def _subgroup_key(H: PermGroup) -> str:
-    digest = hashlib.sha1(b"|".join(p._b for p in H.elements)).hexdigest()[:10]
+    digest = hashlib.sha1(b"|".join(H.elements)).hexdigest()[:10]
     return f"o{H.order}:{digest}"
 
 
@@ -55,18 +55,8 @@ class VerificationReport:
         return self.status == "PASS"
 
     def to_dict(self) -> dict:
-        return {
-            "format": 1,
-            "sweep": self.sweep,
-            "params": self.params,
-            "status": self.status,
-            "findings": self.findings,
-            "witnesses": self.witnesses,
-            "counterexamples": self.counterexamples,
-            "counts": self.counts,
-            "notes": self.notes,
-            "timing_ms": round(self.timing_ms, 3),
-        }
+        # vars keeps the field order; asdict would deep-copy every finding
+        return {"format": 1, **vars(self), "timing_ms": round(self.timing_ms, 3)}
 
 
 def check_lemma(max_order: int = 24) -> VerificationReport:

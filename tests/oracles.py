@@ -49,10 +49,10 @@ def cyclic_subgroups(G):
     seen = {}
     ident = bytes(range(G.degree))
     for p in G.elements:
-        if p._b == ident:
+        if p == ident:
             continue
-        key = frozenset(mulclose(G.degree, (p._b,)))
-        seen.setdefault(key, p._b)
+        key = frozenset(mulclose(G.degree, (p,)))
+        seen.setdefault(key, p)
     return seen
 
 
@@ -149,8 +149,8 @@ def core(G, H):
     conjugates gHg^-1 over every element g of G."""
     cur = set(H._eset)
     for g in G.elements:
-        gb, gi = g._b, _inverse(g._b)
-        cur &= {_compose(_compose(gb, h), gi) for h in H._eset}
+        gi = _inverse(g)
+        cur &= {_compose(_compose(g, h), gi) for h in H._eset}
     return PermGroup._from_eset(G.degree, cur)
 
 

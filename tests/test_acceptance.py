@@ -202,10 +202,9 @@ def test_criterion_8_property_suites():
                 iv = [K for K in subs if H._eset <= K._eset]
                 act, _ = coset_action(G, H)
                 cos = cosets(G, H)
-                reps = [c.rep._b for c in cos]
+                reps = [c.rep for c in cos]
                 inv_reps = [_inverse(r) for r in reps]
-                congs = _congruence_set(act.degree,
-                                        [g._b for g in act.generators])
+                congs = _congruence_set(act.degree, act.generators)
                 thetas = {K.key(): _theta(inv_reps, reps, K) for K in iv}
                 assert set(thetas.values()) == congs, name
                 for K1 in iv:

@@ -1,5 +1,9 @@
 """Permutation and subgroup machinery."""
 
+import copy
+import pickle
+import re
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -59,6 +63,63 @@ class TestPerm:
         assert p.cycles() == [(0, 1, 2), (3, 4)]
         assert str(p) == "(0 1 2)(3 4)"
         assert str(Perm.identity(3)) == "e"
+
+
+class TestPermIsBytes:
+    """A permutation is its image bytes."""
+
+    @given(st.lists(perms, min_size=1, max_size=8))
+    def test_equals_hashes_and_sorts_as_bytes(self, ps):
+        for p in ps:
+            b = bytes(p.images)
+            assert p == b and hash(p) == hash(b) and bytes(p) == b
+        assert sorted(ps) == sorted(ps, key=lambda p: bytes(p.images))
+        assert Perm((1, 0)) == b"\x01\x00"
+
+    def test_images_are_plain_ints(self):
+        for p in (Perm((True, False)), Perm((2, 0, 1)), Perm.identity(3)):
+            assert all(type(x) is int for x in p.images)
+        assert Perm((True, False)).images == (1, 0)
+
+    @pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+    def test_pickle_round_trip_stays_perm(self, protocol):
+        p = Perm((2, 0, 1))
+        q = pickle.loads(pickle.dumps(p, protocol))
+        assert type(q) is Perm and q == p and q * q == p * p
+
+    def test_copy_round_trip_stays_perm(self):
+        p = Perm((2, 0, 1))
+        for q in (copy.copy(p), copy.deepcopy(p)):
+            assert type(q) is Perm and q == p and ~q == ~p
+
+    def test_bad_images_messages(self):
+        with pytest.raises(ValueError, match=re.escape(
+                "not a bijection on 0..2: (0, 0, 1)")):
+            Perm((0, 0, 1))
+        with pytest.raises(ValueError, match="^degree 257 exceeds bound 256$"):
+            Perm(range(257))
+
+
+class TestGroupIdentity:
+    """A group is identified by its degree and element set alone."""
+
+    def test_same_elements_other_generators(self):
+        A = group_closure(3, [Perm((1, 0, 2)), Perm((0, 2, 1))])
+        B = group_closure(3, [Perm((1, 2, 0)), Perm((1, 0, 2))])
+        assert A.generators != B.generators
+        assert A == B and hash(A) == hash(B)
+        slots = {A: "A", B: "B"}
+        assert len(slots) == 1 and slots[A] == "B"
+        assert A != group_closure(3, [Perm((1, 2, 0))])
+
+    def test_membership_of_perms_and_raw_bytes(self):
+        G = cyclic(3)
+        assert Perm((1, 2, 0)) in G and b"\x01\x02\x00" in G
+        assert Perm((1, 0, 2)) not in G and b"\x01\x00\x02" not in G
+
+    def test_key_is_degree_and_sorted_image_bytes(self):
+        for G in (symmetric(3), cyclic(4), klein()):
+            assert G.key() == (G.degree, tuple(sorted(bytes(p) for p in G)))
 
 
 class TestClosure:
@@ -171,7 +232,7 @@ class TestCosets:
                 for c in cs:
                     assert len(c) == H.order
                     assert c.rep == min(c.members)
-                    seen.update(p._b for p in c.members)
+                    seen.update(c.members)
                 assert len(seen) == G.order
                 assert len(cs) * H.order == G.order
 

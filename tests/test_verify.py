@@ -141,7 +141,7 @@ class TestLemmaSweep:
                                          for K in all_subgroups(G)}
             Q = quotient(G, subgroups[f["group"]][f["subgroup_key"]])
             m = f["conclusions"]["quotient_dihedral_m"]
-            rot = min(g._b for g in Q if g.order() == m)
+            rot = min(g for g in Q if g.order() == m)
             R = PermGroup._from_eset(Q.degree, mulclose(Q.degree, (rot,)))
             assert R.order == m
             assert is_simple(R) == f["conclusions"]["rotation_simple"]
