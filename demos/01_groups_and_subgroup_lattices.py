@@ -5,8 +5,9 @@
 from mnlab import (FinLattice, Perm, all_subgroups, dihedral, group_closure,
                    interval, is_dihedral, is_normal, quotient, symmetric)
 
-# A permutation is just its image tuple; composition applies the right factor
-# first, so (p * q)(x) = p(q(x)).
+# A permutation is just its image bytes; composition applies the right factor
+# first, so (p * q)(x) = p(q(x)).  A group is just its element set, so H <= G
+# is the subgroup order.
 p = Perm((1, 2, 0))     # the 3-cycle (0 1 2)
 q = Perm((1, 0, 2))     # the transposition (0 1)
 print("p * q =", (p * q).images, "=", p * q)
@@ -22,8 +23,7 @@ print("subgroups of S3 by order:", [H.order for H in subs])
 
 # The subgroup lattice of S3 is M_4: four incomparable proper subgroups
 # squeezed between the trivial group and S3.
-L = FinLattice.from_inclusion([frozenset(H.elements) for H in subs],
-                              [f"order {H.order}" for H in subs])
+L = FinLattice.from_inclusion(subs, [f"order {H.order}" for H in subs])
 print("Sub(S3) shape:", L.shape_report())
 print(L.to_dot())
 

@@ -43,6 +43,6 @@ thetas = [Partition(rgs_canonical(min(c.rep * k for k in K) for c in cos))
 # order-preserving
 iso = (len(set(thetas)) == len(subs)
        and {",".join(map(str, t)) for t in thetas} == set(Lcon.labels)
-       and all(K1.is_subgroup_of(K2) == (t1 <= t2)
+       and all((K1 <= K2) == (t1 <= t2)
                for K1, t1 in zip(subs, thetas) for K2, t2 in zip(subs, thetas)))
 print("interval size:", len(subs), "| Con size:", Lcon.n, "| isomorphic:", iso)

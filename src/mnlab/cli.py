@@ -104,13 +104,12 @@ def _cmd_con(args) -> int:
 def _cmd_interval(args) -> int:
     G = load_group(args.group)
     H = load_group(args.subgroup)
-    if not H.is_subgroup_of(G):
+    if not H <= G:
         raise UsageError(f"{args.subgroup}: not a subgroup of {args.group}"
                          f" (degrees {H.degree}/{G.degree},"
                          f" orders {H.order}/{G.order})")
     members = subgroup_interval(G, H)
-    L = FinLattice.from_inclusion([K._eset for K in members],
-                                  [f"o{K.order}" for K in members])
+    L = FinLattice.from_inclusion(members, [f"o{K.order}" for K in members])
     payload = {"format": 1,
                "interval": {"group_order": G.order, "subgroup_order": H.order,
                             "index": G.order // H.order,

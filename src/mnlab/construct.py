@@ -113,8 +113,7 @@ def coset_action(G: PermGroup, H: PermGroup) -> CosetAction:
     image = dict(zip(G.elements, _on_cosets(G, H, G.elements)))
     action = group_closure(G.order // H.order, [image[g] for g in G.generators])
     kernel_eset = {p for p, q in image.items() if q.is_identity()}
-    kernel = PermGroup._from_eset(G.degree, kernel_eset,
-                                  _small_genset(G.degree, kernel_eset))
+    kernel = PermGroup(G.degree, _small_genset(G.degree, kernel_eset), kernel_eset)
     return CosetAction(action, kernel)
 
 
@@ -227,9 +226,8 @@ def catalog(max_order: int = 24) -> list[tuple[str, PermGroup]]:
 
     def add(name: str, G: PermGroup) -> None:
         R = regular_action(G)
-        k = R.key()
-        if k not in seen:
-            seen.add(k)
+        if R not in seen:
+            seen.add(R)
             out.append((name, R))
 
     for name, G in base:

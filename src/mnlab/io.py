@@ -32,7 +32,7 @@ def _check_format(data: dict, path: Pathish) -> None:
     if not isinstance(data, dict):
         raise FormatError(f"{path}: expected a JSON object, got {type(data).__name__}")
     version = data.get("format", FORMAT_VERSION)
-    if version != FORMAT_VERSION:
+    if type(version) is not int or version != FORMAT_VERSION:  # true == 1.0 == 1
         raise FormatError(f"{path}: unsupported format version {version!r}")
 
 
@@ -78,7 +78,7 @@ def group_from_dict(data: dict, path: Pathish = "<group>") -> PermGroup:
     eset = mulclose(degree, gens, stop_above=DEFAULT_ORDER_BOUND)
     if eset is None:
         raise FormatError(f"{path}: group order exceeds bound {DEFAULT_ORDER_BOUND}")
-    return PermGroup._from_eset(degree, eset, gens)
+    return PermGroup(degree, gens, eset)
 
 
 def save_group(G: PermGroup, path: Pathish, name: Optional[str] = None) -> None:

@@ -2,12 +2,13 @@
 
 A permutation is its image bytes: ``Perm`` is a ``bytes`` subclass whose byte
 x is the image of x (0-based), so it equals, hashes and sorts as those bytes,
-and composition is a single ``bytes.translate`` call.  Groups carry their full
-element set, closed under composition and inverse, in a canonical order
-(lexicographic on images), so two groups are equal exactly when they have the
-same degree and the same element set.  Orbits are the blocks of
-``partition.rgs_closure`` of the pairs (x, g(x)), the same union-find that
-closes congruences and joins.
+and composition is a single ``bytes.translate`` call.  A group is its element
+set: ``PermGroup`` is a ``frozenset`` subclass holding the full closure, so it
+equals and hashes as that set and ``H <= G`` is the subgroup order (elements
+of different degrees differ in length, so such groups are never nested); it
+iterates its elements in a canonical order (lexicographic on images).  Orbits
+are the blocks of ``partition.rgs_closure`` of the pairs (x, g(x)), the same
+union-find that closes congruences and joins.
 """
 
 from __future__ import annotations
@@ -165,61 +166,45 @@ class Perm(bytes):
         return f"Perm({self.images!r})"
 
 
-class PermGroup:
-    """A finite permutation group given by generators plus its element set.
+class PermGroup(frozenset):
+    """A finite permutation group: the frozenset of its elements, plus its
+    degree, generators and sorted elements.
 
-    ``elements`` is always the full closure, sorted lexicographically on image
-    tuples (the identity comes first).  Instances are immutable and hashable;
-    equality means same degree and same element set.
+    It equals and hashes as its element set, ``p in G`` takes a ``Perm`` or
+    raw image bytes, and ``H <= G`` is the subgroup order (``<`` proper).
+    Iteration follows ``elements``, sorted lexicographically on images with
+    the identity first, never the set's hash order.  The constructor takes
+    the elements in any order, as ``Perm``s or image bytes, and checks
+    neither them nor the generators.
     """
 
-    __slots__ = ("degree", "generators", "elements", "_eset")
+    __slots__ = ("degree", "generators", "elements")
 
-    def __init__(self, degree: int, generators: Iterable[Perm],
-                 elements: Iterable[Perm]):
+    def __new__(cls, degree: int, generators: Iterable[bytes],
+                elements: Iterable[bytes]) -> "PermGroup":
+        elements = tuple(map(Perm._raw, sorted(elements)))
+        self = super().__new__(cls, elements)
         self.degree = degree
-        self.generators = tuple(generators)
-        self.elements = tuple(elements)
-        self._eset = frozenset(self.elements)
+        self.generators = tuple(map(Perm._raw, generators))
+        self.elements = elements
+        return self
 
-    @classmethod
-    def _from_eset(cls, degree: int, eset: Iterable[bytes],
-                   gens: Iterable[bytes] = ()) -> "PermGroup":
-        return cls(degree, map(Perm._raw, gens), map(Perm._raw, sorted(eset)))
+    def __reduce__(self):
+        return PermGroup, (self.degree, self.generators, self.elements)
 
     @classmethod
     def trivial(cls, degree: int) -> "PermGroup":
-        return cls._from_eset(degree, [bytes(range(degree))])
+        return cls(degree, (), [bytes(range(degree))])
 
     @property
     def order(self) -> int:
-        return len(self.elements)
-
-    def key(self) -> tuple:
-        """Canonical identity of the group: degree plus sorted element images."""
-        return (self.degree, self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
+        return len(self)
 
     def __iter__(self) -> Iterator[Perm]:
         return iter(self.elements)
 
-    def __contains__(self, p: bytes) -> bool:
-        return p in self._eset
-
-    def __eq__(self, other) -> bool:
-        return (isinstance(other, PermGroup) and self.degree == other.degree
-                and self._eset == other._eset)
-
-    def __hash__(self) -> int:
-        return hash((self.degree, self._eset))
-
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"
-
-    def is_subgroup_of(self, other: "PermGroup") -> bool:
-        return self.degree == other.degree and self._eset <= other._eset
 
     def orbits(self) -> list[tuple[int, ...]]:
         return _orbits(self.degree, self.generators)
@@ -252,11 +237,11 @@ def group_closure(degree: int, gens: Iterable[Perm]) -> PermGroup:
         if g.degree != degree:
             raise ValueError(f"degree mismatch: generator {g!r} has degree "
                              f"{g.degree}, expected {degree}")
-    return PermGroup(degree, gens, map(Perm._raw, sorted(mulclose(degree, gens))))
+    return PermGroup(degree, gens, mulclose(degree, gens))
 
 
 def _require_subgroup(G: PermGroup, H: PermGroup) -> None:
-    if not H.is_subgroup_of(G):
+    if not H <= G:
         raise ValueError(f"H (order {H.order}, degree {H.degree}) is not a "
                          f"subgroup of G (order {G.order}, degree {G.degree})")
 
@@ -376,16 +361,16 @@ def subgroup_records(G: PermGroup) -> dict[frozenset, tuple[bytes, ...]]:
 def all_subgroups(G: PermGroup) -> tuple[PermGroup, ...]:
     """Every subgroup of G (see subgroup_records), ordered by order, then by
     sorted element images."""
-    groups = [PermGroup._from_eset(G.degree, eset, gens)
+    groups = [PermGroup(G.degree, gens, eset)
               for eset, gens in subgroup_records(G).items()]
-    groups.sort(key=lambda K: (K.order, K.key()))
+    groups.sort(key=lambda K: (K.order, K.elements))
     return tuple(groups)
 
 
 def interval(G: PermGroup, H: PermGroup) -> tuple[PermGroup, ...]:
     """All subgroups K with H <= K <= G, as a sublist of all_subgroups(G)."""
     _require_subgroup(G, H)
-    return tuple(K for K in all_subgroups(G) if H._eset <= K._eset)
+    return tuple(K for K in all_subgroups(G) if H <= K)
 
 
 @dataclass(frozen=True)
@@ -435,7 +420,7 @@ def is_normal(G: PermGroup, H: PermGroup) -> bool:
     for g in G.generators:
         gi = _inverse(g)
         conj = {_compose(_compose(g, h), gi) for h in H.elements}
-        if conj != H._eset:
+        if conj != H:
             return False
     return True
 

@@ -11,6 +11,7 @@ excludes degree 7 by the prime-degree rule, which its report states.
 from __future__ import annotations
 
 import hashlib
+import operator
 import time
 from dataclasses import dataclass, field
 
@@ -75,9 +76,9 @@ def check_lemma(max_order: int = 24) -> VerificationReport:
         n_groups += 1
         subs = all_subgroups(G)
         for H in subs:
-            iv = [K for K in subs if H._eset <= K._eset]  # sorted, as subs is
+            iv = [K for K in subs if H <= K]  # sorted, as subs is
             n_intervals += 1
-            n = _mn_of(iv[1:-1], PermGroup.is_subgroup_of)  # H first, G last
+            n = _mn_of(iv[1:-1], operator.le)  # H first, G last
             if n is None:
                 continue
             n_mn += 1
@@ -164,10 +165,10 @@ def check_theorem1(p: int) -> VerificationReport:
             congs = _congruence_set(d, gens)
             mids = [r for r in congs if r != bottom and r != top]
             if _mn_of(mids, rgs_refines) == target:
-                hits.append(PermGroup._from_eset(d, eset, _small_genset(d, eset)))
+                hits.append(PermGroup(d, _small_genset(d, eset), eset))
         stats["hits"] = len(hits)
         # generators and order depend on the element sets alone
-        for K in sorted(hits, key=PermGroup.key):
+        for K in sorted(hits, key=lambda K: K.elements):
             m = is_dihedral(K)
             entry = {
                 "degree": d,

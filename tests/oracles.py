@@ -64,12 +64,12 @@ def subgroups_bounded_gen(G, max_gens=3):
     assert G.order <= 24, "bounded-generation oracle is only valid up to order 24"
     cyc = cyclic_subgroups(G)
     gens_list = list(cyc.values())
-    found = {frozenset({bytes(range(G.degree))}), G._eset}
+    found = {frozenset({bytes(range(G.degree))}), G}
     for k in range(1, max_gens + 1):
         for combo in itertools.combinations(gens_list, k):
             found.add(frozenset(mulclose(G.degree, combo)))
-    groups = [PermGroup._from_eset(G.degree, eset) for eset in found]
-    groups.sort(key=lambda K: (K.order, K.key()))
+    groups = [PermGroup(G.degree, (), eset) for eset in found]
+    groups.sort(key=lambda K: (K.order, K.elements))
     return tuple(groups)
 
 
@@ -91,8 +91,8 @@ def subgroups_join_closure(G):
                 if join not in found:
                     found[join] = ext
                     work.append((join, ext))
-    groups = [PermGroup._from_eset(G.degree, eset) for eset in found]
-    groups.sort(key=lambda K: (K.order, K.key()))
+    groups = [PermGroup(G.degree, (), eset) for eset in found]
+    groups.sort(key=lambda K: (K.order, K.elements))
     return tuple(groups)
 
 
@@ -100,20 +100,17 @@ def maximal_descent_closure(subgroup_list):
     """Regenerate the family from the top by repeatedly taking, for each
     member, its maximal proper members (co-atoms of each interval); a correct
     full enumeration is a fixed point of this descent."""
-    by_key = {K._eset: K for K in subgroup_list}
     top = max(subgroup_list, key=lambda K: K.order)
-    reached = {top._eset}
+    reached = {top}
     work = [top]
     while work:
         K = work.pop()
-        proper = [H for H in subgroup_list
-                  if H._eset < K._eset]
-        maximal = [H for H in proper
-                   if not any(H._eset < M._eset for M in proper)]
+        proper = [H for H in subgroup_list if H < K]
+        maximal = [H for H in proper if not any(H < M for M in proper)]
         for M in maximal:
-            if M._eset not in reached:
-                reached.add(M._eset)
-                work.append(by_key[M._eset])
+            if M not in reached:
+                reached.add(M)
+                work.append(M)
     return reached
 
 
@@ -147,11 +144,11 @@ def is_lattice(leq):
 def core(G, H):
     """Largest normal subgroup of G inside H: the intersection of H's
     conjugates gHg^-1 over every element g of G."""
-    cur = set(H._eset)
+    cur = set(H)
     for g in G.elements:
         gi = _inverse(g)
-        cur &= {_compose(_compose(g, h), gi) for h in H._eset}
-    return PermGroup._from_eset(G.degree, cur)
+        cur &= {_compose(_compose(g, h), gi) for h in H}
+    return PermGroup(G.degree, (), cur)
 
 
 def is_simple(G):
@@ -272,9 +269,9 @@ def point_blocks(G, K):
     """The partition of the points of a transitive G into the blocks
     g(K(0)), g in G, as an RGS.  K must lie between the stabilizer of 0 and
     G, so that K(0), the orbit of 0 under K, is a block."""
-    orbit = {k[0] for k in K._eset}
+    orbit = {k[0] for k in K}
     least = [None] * G.degree  # each point's block, named by its least point
-    for g in G._eset:
+    for g in G:
         if least[g[0]] is None:
             block = [g[x] for x in orbit]
             for y in block:

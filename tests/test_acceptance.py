@@ -176,7 +176,7 @@ def _theta(inv_reps, reps, K):
     labels = []
     for i, r in enumerate(reps):
         for j in range(i + 1):
-            if _compose(inv_reps[j], r) in K._eset:
+            if _compose(inv_reps[j], r) in K:
                 labels.append(j)
                 break
     return rgs_canonical(labels)
@@ -199,18 +199,17 @@ def test_criterion_8_property_suites():
         for name, G in catalog(24):
             subs = all_subgroups(G)
             for H in subs:
-                iv = [K for K in subs if H._eset <= K._eset]
+                iv = [K for K in subs if H <= K]
                 act, _ = coset_action(G, H)
                 cos = cosets(G, H)
                 reps = [c.rep for c in cos]
                 inv_reps = [_inverse(r) for r in reps]
                 congs = _congruence_set(act.degree, act.generators)
-                thetas = {K.key(): _theta(inv_reps, reps, K) for K in iv}
+                thetas = {K: _theta(inv_reps, reps, K) for K in iv}
                 assert set(thetas.values()) == congs, name
                 for K1 in iv:
                     for K2 in iv:
-                        assert (K1._eset <= K2._eset) == rgs_refines(
-                            thetas[K1.key()], thetas[K2.key()])
+                        assert (K1 <= K2) == rgs_refines(thetas[K1], thetas[K2])
 
         # (c) join-closure enumeration vs bounded-generation oracle
         for name, G in catalog(24):

@@ -231,14 +231,14 @@ def test_interval_map_of_natural_actions(symmetric_subgroups):
             gens = [g.images for g in G.generators]
             if len(orbits_bfs(d, gens)) != 1:
                 continue
-            stabilizer = {g for g in G._eset if g[0] == 0}
-            iv = [K for K in subs if stabilizer <= K._eset <= G._eset]
+            stabilizer = {g for g in G if g[0] == 0}
+            iv = [K for K in subs if stabilizer <= K <= G]
             blocks = [point_blocks(G, K) for K in iv]
             assert len(set(blocks)) == len(iv)
             assert set(blocks) == _congruence_set(d, gens)
             for K1, b1 in zip(iv, blocks):
                 for K2, b2 in zip(iv, blocks):
-                    assert (K1._eset <= K2._eset) == rgs_refines(b1, b2)
+                    assert (K1 <= K2) == rgs_refines(b1, b2)
             groups += 1
             members += len(iv)
     assert (groups, members) == (312, 1077)

@@ -34,6 +34,19 @@ def test_rejects_unknown_format_version():
         group_from_dict({"format": 2, "degree": 2, "generators": []})
 
 
+@pytest.mark.parametrize("version", ["true", "1.0"])
+def test_rejects_format_version_that_only_equals_one(tmp_path, version):
+    # json reads these as True and 1.0, which compare equal to 1
+    group = tmp_path / "g.json"
+    group.write_text(f'{{"format": {version}, "degree": 2, "generators": []}}')
+    algebra = tmp_path / "a.json"
+    algebra.write_text(f'{{"format": {version}, "size": 2, "ops": []}}')
+    message = f"unsupported format version {version.title()}"  # True, 1.0
+    for load, path in ((load_group, group), (load_algebra, algebra)):
+        with pytest.raises(FormatError, match=f"{path.name}: {message}"):
+            load(path)
+
+
 def test_rejects_malformed_group():
     with pytest.raises(FormatError, match="bad group file"):
         group_from_dict({"degree": 3})

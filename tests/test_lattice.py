@@ -66,8 +66,7 @@ def assert_walk_matches_definitions(L, leq):
 
 def subgroup_lattice(G):
     subs = all_subgroups(G)
-    return FinLattice.from_inclusion([K._eset for K in subs],
-                                     [f"o{K.order}" for K in subs])
+    return FinLattice.from_inclusion(subs, [f"o{K.order}" for K in subs])
 
 
 class TestConstruction:

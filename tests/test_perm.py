@@ -12,7 +12,7 @@ import mnlab.perm
 from mnlab import (Perm, PermGroup, all_subgroups, catalog, cosets, cyclic,
                    dihedral, group_closure, interval, is_dihedral, is_normal,
                    klein, quotient, regular_action, symmetric)
-from mnlab.perm import mulclose
+from mnlab.perm import mulclose, subgroup_records
 
 from oracles import core, is_simple, subgroups_join_closure
 
@@ -101,7 +101,7 @@ class TestPermIsBytes:
 
 
 class TestGroupIdentity:
-    """A group is identified by its degree and element set alone."""
+    """A group is identified by its element set alone."""
 
     def test_same_elements_other_generators(self):
         A = group_closure(3, [Perm((1, 0, 2)), Perm((0, 2, 1))])
@@ -117,9 +117,47 @@ class TestGroupIdentity:
         assert Perm((1, 2, 0)) in G and b"\x01\x02\x00" in G
         assert Perm((1, 0, 2)) not in G and b"\x01\x00\x02" not in G
 
-    def test_key_is_degree_and_sorted_image_bytes(self):
-        for G in (symmetric(3), cyclic(4), klein()):
-            assert G.key() == (G.degree, tuple(sorted(bytes(p) for p in G)))
+
+class TestGroupIsItsElementSet:
+    """PermGroup is a frozenset of its elements; <= is the subgroup order."""
+
+    def test_equals_and_hashes_as_its_element_set(self):
+        for G in (symmetric(3), cyclic(4), klein(), symmetric(4)):
+            eset = frozenset(bytes(p) for p in G)
+            assert G == eset and hash(G) == hash(eset)
+        S4 = symmetric(4)
+        assert set(subgroup_records(S4)) == set(all_subgroups(S4))
+
+    def test_le_is_the_subgroup_order(self):
+        subs = all_subgroups(symmetric(4)) + (symmetric(3), symmetric(5))
+        for H in subs:
+            for K in subs:
+                inside = all(p in K.elements for p in H.elements)
+                strict = inside and len(H.elements) < len(K.elements)
+                assert (H <= K) == (K >= H) == inside
+                assert (H < K) == (K > H) == strict
+
+    def test_iterates_in_sorted_order_identity_first(self):
+        for G in (symmetric(4), dihedral(5), klein()):
+            assert list(G) == list(G.elements) == sorted(G.elements)
+            assert G.elements[0].is_identity()
+
+    def test_constructor_sorts_raw_bytes(self):
+        G = PermGroup(3, [b"\x01\x02\x00"],
+                      [b"\x02\x00\x01", b"\x00\x01\x02", b"\x01\x02\x00"])
+        assert G.elements == (Perm((0, 1, 2)), Perm((1, 2, 0)), Perm((2, 0, 1)))
+        assert all(type(p) is Perm for p in G.elements + G.generators)
+        assert G == cyclic(3) and G.order == 3
+
+    def test_pickle_and_copy_keep_the_group(self):
+        G = dihedral(4)
+        copies = [pickle.loads(pickle.dumps(G, protocol))
+                  for protocol in range(pickle.HIGHEST_PROTOCOL + 1)]
+        for H in copies + [copy.copy(G), copy.deepcopy(G)]:
+            assert type(H) is PermGroup and H == G
+            assert (H.degree, H.generators, H.elements) == (
+                G.degree, G.generators, G.elements)
+            assert all(type(p) is Perm for p in H.elements + H.generators)
 
 
 class TestClosure:
@@ -183,14 +221,13 @@ class TestSubgroups:
         below every enumerated subgroup that holds both."""
         G = symmetric(4)
         subs = all_subgroups(G)
-        by_eset = {K._eset: K for K in subs}
         import itertools
         for A, B in itertools.combinations(subs[:12], 2):
-            J = by_eset[frozenset(mulclose(G.degree, A._eset | B._eset))]
-            assert A.is_subgroup_of(J) and B.is_subgroup_of(J)
+            J = frozenset(mulclose(G.degree, A | B))
+            assert J in subs and A <= J and B <= J
             for K in subs:
-                if A.is_subgroup_of(K) and B.is_subgroup_of(K):
-                    assert J.is_subgroup_of(K)
+                if A <= K and B <= K:
+                    assert J <= K
 
 
 class TestInterval:
@@ -259,10 +296,10 @@ class TestNormalityAndCore:
         subs = all_subgroups(G)
         for H in subs:
             C = core(G, H)
-            assert is_normal(G, C) and C.is_subgroup_of(H)
+            assert is_normal(G, C) and C <= H
             for N in subs:
-                if N.is_subgroup_of(H) and is_normal(G, N):
-                    assert N.is_subgroup_of(C)
+                if N <= H and is_normal(G, N):
+                    assert N <= C
 
 
 class TestQuotient:
