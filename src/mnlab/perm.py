@@ -101,7 +101,8 @@ class Perm(bytes):
 
     @classmethod
     def _raw(cls, b: bytes) -> "Perm":
-        return bytes.__new__(cls, b)  # unchecked: b is known to be a bijection
+        # unchecked: b is known to be a bijection; a Perm is kept, not copied
+        return b if type(b) is cls else bytes.__new__(cls, b)
 
     @classmethod
     def identity(cls, degree: int) -> "Perm":
@@ -174,8 +175,8 @@ class PermGroup(frozenset):
     raw image bytes, and ``H <= G`` is the subgroup order (``<`` proper).
     Iteration follows ``elements``, sorted lexicographically on images with
     the identity first, never the set's hash order.  The constructor takes
-    the elements in any order, as ``Perm``s or image bytes, and checks
-    neither them nor the generators.
+    the elements in any order, as ``Perm``s, which it keeps, or image bytes,
+    and checks neither them nor the generators.
     """
 
     __slots__ = ("degree", "generators", "elements")
@@ -261,20 +262,62 @@ def _prime_power(n: int) -> Optional[int]:
     return n
 
 
+def _solvable_residual(degree: int, gens: Iterable[bytes]) -> set[bytes]:
+    """The element set of the last term of the derived series of the group
+    generated by ``gens``.  Each term is the normal closure, in the term
+    before, of the commutators of that term's generators; the series stops
+    when a term does not shrink."""
+    ident = bytes(range(degree))
+    gens = [bytes(g) for g in gens]
+    elems = mulclose(degree, gens)
+    while True:
+        ginv = [(g, _inverse(g)) for g in gens]
+        todo = [_compose(_compose(a, b), _compose(ai, bi))
+                for i, (a, ai) in enumerate(ginv) for b, bi in ginv[:i]]
+        derived, dgens = {ident}, []
+        while todo:  # each generator added is conjugated by every generator
+            c = todo.pop()
+            if c not in derived:
+                dgens.append(c)
+                derived = mulclose(degree, dgens, seed=derived)
+                todo.extend(_compose(_compose(g, c), gi) for g, gi in ginv)
+        if len(derived) == len(elems):
+            return elems
+        elems, gens = derived, dgens
+
+
 def subgroup_records(G: PermGroup) -> dict[frozenset, tuple[bytes, ...]]:
     """Every subgroup of G as {element set: generators (image bytes)}.
 
-    Closes the cyclic subgroups under joins with the prime-power cyclic
-    subgroups, each named by its unit (least generator); the fixed point holds
-    every subgroup, each being the join of those it contains.  Joins are made
-    for one representative H per conjugacy class, and the class is filled in
-    by conjugating breadth-first under G's generators.  H is joined only with
-    the least unit of each orbit of the units under conjugation by N_G(H),
-    since <H, n.g.n^-1> = n.<H, g>.n^-1 for n in N_G(H) (Neubüser's cyclic
-    extension method; Holt, Eick and O'Brien, Handbook of Computational Group
-    Theory, 2005).  N_G(H) is G when G's generators normalize H; otherwise it
-    is generated by H's generators and the elements of G that normalize H
-    and are not yet generated when reached.
+    Neubüser's cyclic extension method (Holt, Eick and O'Brien, Handbook of
+    Computational Group Theory, 2005).  One representative H per conjugacy
+    class is queued, starting from the trivial group, and each class is
+    filled in by conjugating breadth-first under G's generators.  N_G(H) is
+    G when G's generators normalize H, and otherwise the elements of G that
+    normalize H.  Each H then takes two steps:
+
+    1. Prime-index step.  For each x in N_G(H) \\ H outside every U already
+       built from H, let k be least with x^k in H.  If k is prime, U = H, xH,
+       ..., x^(k-1)H is a subgroup with H normal of index k; it is built
+       coset by coset, with no closure.  Any other x' in U \\ H gives this U.
+    2. Join step, only when H lies in R, the solvable residual of G (the
+       last term of its derived series), and is not normal in G.  H is
+       joined by closure with <g> for one unit g (least generator) of each
+       orbit of the prime-power cyclic subgroups of R under conjugation by
+       N_G(H), if g is outside N_G(H); <H, n.g.n^-1> = n.<H, g>.n^-1 for n
+       in N_G(H).  The orbits are taken under H's generators and the
+       elements of N_G(H) not yet generated when reached.
+
+    This finds every subgroup U, by induction on |U|.  If U > 1 is not
+    perfect, U/U' is a nontrivial abelian group, so U has a normal subgroup
+    M of prime index, and step 1 reaches a conjugate of U from the
+    representative of M's class.  If U > 1 is perfect, U lies in R, and so
+    does a maximal subgroup M of U.  U is generated by its elements of
+    prime-power order, so one of them, u, lies outside M and U = <M, u>.
+    M is not normal in U, or U/M would have prime order, so u is outside
+    N_G(M) and M is not normal in G: step 2 reaches U from M's class.
+    Every group of order below 60 is solvable, so there R = 1 and no joins
+    are made.
     """
     if G.order > DEFAULT_ORDER_BOUND:
         raise ValueError(f"group order {G.order} exceeds bound {DEFAULT_ORDER_BOUND}")
@@ -290,17 +333,15 @@ def subgroup_records(G: PermGroup) -> dict[frozenset, tuple[bytes, ...]]:
     # (table of c, inverse of c) per element c: c.y.c^-1 = (c.y) composed c^-1
     conj_of = {b: (_table(b), _inverse(b)) for b in elems}
     conj_by = [conj_of[c] for c in G.generators]
+    pad = _PAD[degree:]  # y + pad is _table(y), without the call
 
     def conjugate(xs: Iterable[bytes], tc: bytes, cinv: bytes) -> tuple[bytes, ...]:
-        return tuple(intern[cinv.translate(_table(y.translate(tc)))] for y in xs)
+        return tuple(intern[cinv.translate(y.translate(tc) + pad)] for y in xs)
 
     def normalizes(tc: bytes, cinv: bytes, eset: frozenset, gens: tuple) -> bool:
-        return all(cinv.translate(_table(h.translate(tc))) in eset for h in gens)
+        return all(cinv.translate(h.translate(tc) + pad) in eset for h in gens)
 
-    subs: dict[frozenset, tuple[bytes, ...]] = {
-        full_key: tuple(intern[g] for g in G.generators),
-        frozenset({ident}): (),
-    }
+    subs: dict[frozenset, tuple[bytes, ...]] = {}
     reps: deque[tuple[frozenset, tuple[bytes, ...]]] = deque()
 
     def add_class(eset: frozenset, gens: tuple[bytes, ...]) -> None:
@@ -312,44 +353,63 @@ def subgroup_records(G: PermGroup) -> dict[frozenset, tuple[bytes, ...]]:
             new = []
             for kset, kgens in frontier:
                 for tc, cinv in conj_by:
+                    cgens = conjugate(kgens, tc, cinv)
+                    if all(h in kset for h in cgens):
+                        continue  # c normalizes K
                     conj = frozenset(conjugate(kset, tc, cinv))
                     if conj not in subs:
-                        subs[conj] = conjugate(kgens, tc, cinv)
-                        new.append((conj, subs[conj]))
+                        subs[conj] = cgens
+                        new.append((conj, cgens))
             frontier = new
 
-    cyc: dict[frozenset, tuple[bytes, ...]] = {}
+    residual = _solvable_residual(degree, G.generators)
+    cyc: dict[frozenset, bytes] = {}
     unit_of: dict[bytes, bytes] = {}  # x -> the least generator of <x>
-    for b in elems[1:]:  # every nontrivial cyclic subgroup; identity is first
-        eset = frozenset(intern[x] for x in mulclose(degree, (b,)))
-        unit_of[b] = cyc.setdefault(eset, (b,))[0]
-    for eset, gens in cyc.items():
-        if eset not in subs:
-            add_class(eset, gens)
-    units = sorted(gens[0] for eset, gens in cyc.items()
-                   if _prime_power(len(eset)) is not None)
+    for b in sorted(residual)[1:]:  # identity is first
+        unit_of[b] = cyc.setdefault(frozenset(mulclose(degree, (b,))), b)
+    units = sorted(u for eset, u in cyc.items() if _prime_power(len(eset)) is not None)
     index = {u: i for i, u in enumerate(units)}
 
     def orbit_firsts(conj: list[tuple[bytes, bytes]]) -> list[bytes]:
         """The least unit of each orbit of the units under conjugation."""
-        moved = [[index[unit_of[cinv.translate(_table(u.translate(tc)))]]
+        moved = [[index[unit_of[cinv.translate(u.translate(tc) + pad)]]
                   for u in units] for tc, cinv in conj]
         return [units[orbit[0]] for orbit in _orbits(len(units), moved)]
 
-    g_firsts = orbit_firsts(conj_by)
+    add_class(frozenset({ident}), ())
     while reps:
         eset, gens = reps.popleft()
-        if all(normalizes(*c, eset, gens) for c in conj_by):
-            firsts = g_firsts  # H is normal: N_G(H) = G
-        else:  # H's generators, then each element of N_G(H) not yet generated
-            ngens, got = list(gens), eset
-            for x, c in conj_of.items():
-                if x not in got and normalizes(*c, eset, gens):
-                    ngens.append(x)
-                    got = mulclose(degree, ngens, seed=got)
-            firsts = orbit_firsts([conj_of[x] for x in ngens])
-        for g in firsts:
-            if g in eset:
+        normal = all(normalizes(*c, eset, gens) for c in conj_by)
+        norm = elems if normal else [  # N_G(H)
+            x for x, c in conj_of.items() if normalizes(*c, eset, gens)]
+        built: set[bytes] = set()  # elements of the U built from H so far
+        for x in norm:
+            if x in eset or x in built:
+                continue
+            tx = _table(x)
+            k, y = 1, x
+            while y not in eset:  # y = x^k
+                y = y.translate(tx)
+                k += 1
+            if _prime_power(k) != k:
+                continue
+            coset, members = eset, list(eset)
+            for _ in range(k - 1):  # the coset x^i H is x times x^(i-1) H
+                coset = [intern[h.translate(tx)] for h in coset]
+                members += coset
+            built.update(members)
+            key = frozenset(members)
+            if key not in subs:
+                add_class(key, gens + (x,))
+        if normal or not eset <= residual:
+            continue
+        ngens, got = list(gens), eset  # H's generators, then each x not yet generated
+        for x in norm:
+            if x not in got:
+                ngens.append(x)
+                got = mulclose(degree, ngens, seed=got)
+        for g in orbit_firsts([conj_of[x] for x in ngens]):
+            if g in got:  # got is N_G(H)
                 continue
             res = mulclose(degree, gens + (g,), seed=eset, stop_above=largest_proper)
             key = full_key if res is None else frozenset(intern[x] for x in res)
@@ -361,7 +421,8 @@ def subgroup_records(G: PermGroup) -> dict[frozenset, tuple[bytes, ...]]:
 def all_subgroups(G: PermGroup) -> tuple[PermGroup, ...]:
     """Every subgroup of G (see subgroup_records), ordered by order, then by
     sorted element images."""
-    groups = [PermGroup(G.degree, gens, eset)
+    own = {p: p for p in G.elements}.__getitem__  # the subgroups share G's Perms
+    groups = [PermGroup(G.degree, map(own, gens), map(own, eset))
               for eset, gens in subgroup_records(G).items()]
     groups.sort(key=lambda K: (K.order, K.elements))
     return tuple(groups)

@@ -31,6 +31,12 @@ intersection of the related-pair sets of every partition that qualifies,
 with no union-find.  ``orbits_bfs`` walks each orbit breadth-first from its
 least point.
 
+``derived_series_oracle`` takes each derived subgroup as the closure of
+every commutator [a, b] over all pairs a, b of the term before, multiplied
+by every commutator until nothing new appears, with no generators and no
+normal closure; it is meant for orders up to 120.  ``is_even`` reads a
+permutation's parity off its cycle count.
+
 ``point_blocks`` is the block system a subgroup K above the stabilizer of
 point 0 gives a transitive group G: the images g(K(0)) of the orbit of 0
 under K, found by applying every element of G, with no closure.
@@ -278,3 +284,36 @@ def point_blocks(G, K):
                 least[y] = min(block)
     first = {}
     return tuple(first.setdefault(m, len(first)) for m in least)
+
+
+def derived_series_oracle(K):
+    """The last term of the derived series of K, as a frozenset of image
+    bytes: each term is every product of commutators a.b.a^-1.b^-1 over all
+    a, b in the term before, until a term does not shrink."""
+    assert len(K) <= 120, "the all-pairs derived series oracle is meant for order <= 120"
+    term = frozenset(bytes(p) for p in K)
+    while True:
+        inv = {a: _inverse(a) for a in term}
+        comm = {_compose(_compose(a, b), _compose(inv[a], inv[b]))
+                for a in term for b in term}
+        closed, frontier = set(comm), comm
+        while frontier:  # every product of commutators, one factor at a time
+            frontier = {_compose(a, c) for a in frontier for c in comm} - closed
+            closed |= frontier
+        if len(closed) == len(term):
+            return term
+        term = frozenset(closed)
+
+
+def is_even(p):
+    """True iff the permutation p (image sequence) is even: its degree minus
+    its number of cycles, fixed points included, is even."""
+    seen, cycles = set(), 0
+    for start in range(len(p)):
+        if start not in seen:
+            cycles += 1
+            x = start
+            while x not in seen:
+                seen.add(x)
+                x = p[x]
+    return (len(p) - cycles) % 2 == 0

@@ -9,12 +9,14 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import mnlab.perm
-from mnlab import (Perm, PermGroup, all_subgroups, catalog, cosets, cyclic,
-                   dihedral, group_closure, interval, is_dihedral, is_normal,
-                   klein, quotient, regular_action, symmetric)
-from mnlab.perm import mulclose, subgroup_records
+from mnlab import (Perm, PermGroup, all_subgroups, alternating, catalog,
+                   cosets, cyclic, dihedral, group_closure, interval,
+                   is_dihedral, is_normal, klein, quotient, regular_action,
+                   symmetric)
+from mnlab.perm import _solvable_residual, mulclose, subgroup_records
 
-from oracles import core, is_simple, subgroups_join_closure
+from oracles import (core, derived_series_oracle, is_even, is_simple,
+                     subgroups_join_closure)
 
 perms = st.integers(2, 6).flatmap(
     lambda d: st.permutations(range(d)).map(Perm))
@@ -216,6 +218,32 @@ class TestSubgroups:
         for name, G in big + [("S5", symmetric(5))]:
             assert all_subgroups(G) == subgroups_join_closure(G), name
 
+    def test_join_closure_oracle_on_a5(self):
+        """A5 is perfect: its solvable residual is itself, so its
+        subgroups come from both the prime-index and the join step."""
+        A5 = alternating(5)
+        assert all_subgroups(A5) == subgroups_join_closure(A5)
+
+    def test_published_count_a6(self):
+        assert len(subgroup_records(alternating(6))) == 501
+
+    def test_generators_close_to_their_set(self):
+        """A prime-index step records H's generators plus x, so every
+        record's generators must still generate exactly its element set."""
+        groups = [G for _, G in catalog(48)] + [symmetric(d) for d in range(1, 7)]
+        for G in groups:
+            for eset, gens in subgroup_records(G).items():
+                assert frozenset(mulclose(G.degree, gens)) == eset
+
+    def test_subgroups_share_the_group_perms(self):
+        """all_subgroups hands each subgroup G's own Perm objects, and the
+        constructor keeps them, so no element is copied."""
+        G = symmetric(4)
+        own = {id(p) for p in G.elements}
+        for K in all_subgroups(G):
+            assert {id(p) for p in K.elements} <= own
+            assert {id(p) for p in K.generators} <= own
+
     def test_join_is_least_upper_bound(self):
         """The closure of A and B is among the enumerated subgroups and lies
         below every enumerated subgroup that holds both."""
@@ -228,6 +256,32 @@ class TestSubgroups:
             for K in subs:
                 if A <= K and B <= K:
                     assert J <= K
+
+
+class TestSolvableResidual:
+    """_solvable_residual against the all-pairs derived series."""
+
+    @staticmethod
+    def residual(G):
+        return _solvable_residual(G.degree, G.generators)
+
+    def test_trivial_on_solvable_groups(self):
+        ident = {bytes(range(4))}
+        assert self.residual(symmetric(4)) == derived_series_oracle(symmetric(4)) == ident
+        for name, G in catalog(48):
+            ident = {bytes(range(G.degree))}
+            assert self.residual(G) == derived_series_oracle(G) == ident, name
+
+    def test_a5_in_s5_and_a5(self):
+        A5 = alternating(5)
+        for G in (symmetric(5), A5):
+            assert self.residual(G) == derived_series_oracle(G) == A5
+
+    def test_even_permutations_in_s6(self):
+        S6 = symmetric(6)
+        even = {p for p in S6 if is_even(p)}
+        assert len(even) == 360
+        assert self.residual(S6) == even
 
 
 class TestInterval:
