@@ -16,7 +16,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import AbstractSet, Iterable, Iterator, Optional, Sequence
 
 from .partition import _rgs_blocks, rgs_closure
 
@@ -292,9 +292,14 @@ def subgroup_records(G: PermGroup) -> dict[frozenset, tuple[bytes, ...]]:
     Neubüser's cyclic extension method (Holt, Eick and O'Brien, Handbook of
     Computational Group Theory, 2005).  One representative H per conjugacy
     class is queued, starting from the trivial group, and each class is
-    filled in by conjugating breadth-first under G's generators.  N_G(H) is
-    G when G's generators normalize H, and otherwise the elements of G that
-    normalize H.  Each H then takes two steps:
+    filled in by conjugating breadth-first under G's generators.  That walk
+    also gives N_G(H), the stabilizer of H under conjugation (ibid., 4.1).
+    It keeps a transversal t_K with K = t_K.H.t_K^-1 for each K in the
+    class; by Schreier's lemma the elements t_L^-1.c.t_K, one per edge
+    K -> L = c.K.c^-1 of the walk, self-loops included, generate N_G(H).
+    They are added to H's generators one at a time, skipping any already
+    generated, until the closure reaches |N_G(H)| = |G|/|class|; a class of
+    size 1 means H is normal and N_G(H) = G.  Each H then takes two steps:
 
     1. Prime-index step.  For each x in N_G(H) \\ H outside every U already
        built from H, let k be least with x^k in H.  If k is prime, U = H, xH,
@@ -305,8 +310,7 @@ def subgroup_records(G: PermGroup) -> dict[frozenset, tuple[bytes, ...]]:
        joined by closure with <g> for one unit g (least generator) of each
        orbit of the prime-power cyclic subgroups of R under conjugation by
        N_G(H), if g is outside N_G(H); <H, n.g.n^-1> = n.<H, g>.n^-1 for n
-       in N_G(H).  The orbits are taken under H's generators and the
-       elements of N_G(H) not yet generated when reached.
+       in N_G(H).  The orbits are taken under the generators of N_G(H).
 
     This finds every subgroup U, by induction on |U|.  If U > 1 is not
     perfect, U/U' is a nontrivial abelian group, so U has a normal subgroup
@@ -330,63 +334,85 @@ def subgroup_records(G: PermGroup) -> dict[frozenset, tuple[bytes, ...]]:
         (p for p in range(2, G.order + 1) if G.order % p == 0), default=1)
     # one shared bytes object per element keeps the element sets small
     intern = {b: b for b in elems}
-    # (table of c, inverse of c) per element c: c.y.c^-1 = (c.y) composed c^-1
-    conj_of = {b: (_table(b), _inverse(b)) for b in elems}
-    conj_by = [conj_of[c] for c in G.generators]
-    pad = _PAD[degree:]  # y + pad is _table(y), without the call
-
-    def conjugate(xs: Iterable[bytes], tc: bytes, cinv: bytes) -> tuple[bytes, ...]:
-        return tuple(intern[cinv.translate(y.translate(tc) + pad)] for y in xs)
-
-    def normalizes(tc: bytes, cinv: bytes, eset: frozenset, gens: tuple) -> bool:
-        return all(cinv.translate(h.translate(tc) + pad) in eset for h in gens)
+    pad = _PAD[degree:]
+    table = {b: b + pad for b in elems}  # _table(b), for translate
+    # per generator c of G: its table, and {y: c.y.c^-1} over G, interned
+    conj_by = []
+    for c in G.generators:
+        tc, cinv = table[c], _inverse(c)
+        conj_by.append((tc, cinv, {y: intern[cinv.translate(y.translate(tc) + pad)]
+                                   for y in elems}))
 
     subs: dict[frozenset, tuple[bytes, ...]] = {}
-    reps: deque[tuple[frozenset, tuple[bytes, ...]]] = deque()
+    # (H, its generators, generators and elements of N_G(H)) per class
+    reps: deque[tuple[frozenset, tuple, list, AbstractSet]] = deque()
 
     def add_class(eset: frozenset, gens: tuple[bytes, ...]) -> None:
-        """Insert eset and its conjugacy class; queue eset as the class rep."""
+        """Insert eset and its conjugacy class; queue eset as the class rep,
+        with generators and elements of its normalizer."""
         subs[eset] = gens
-        reps.append((eset, gens))
+        trans = {eset: (ident, table[ident])}  # K: (t_K, table of t_K^-1)
+        schreier = []
         frontier = [(eset, gens)]
         while frontier:
             new = []
             for kset, kgens in frontier:
-                for tc, cinv in conj_by:
-                    cgens = conjugate(kgens, tc, cinv)
-                    if all(h in kset for h in cgens):
-                        continue  # c normalizes K
-                    conj = frozenset(conjugate(kset, tc, cinv))
-                    if conj not in subs:
-                        subs[conj] = cgens
-                        new.append((conj, cgens))
+                tk, tkinv = trans[kset]
+                for tc, cinv, conj in conj_by:
+                    cgens = tuple(map(conj.__getitem__, kgens))
+                    lset = kset
+                    if not all(h in kset for h in cgens):  # c does not normalize K
+                        lset = frozenset(map(conj.__getitem__, kset))
+                        if lset not in trans:
+                            subs[lset] = cgens
+                            # t_L = c.t_K, so t_L^-1 = t_K^-1.c^-1
+                            trans[lset] = (tk.translate(tc),
+                                           cinv.translate(tkinv) + pad)
+                            new.append((lset, cgens))
+                            continue
+                    schreier.append(tk.translate(tc).translate(trans[lset][1]))
             frontier = new
+        order = G.order // len(trans)  # |N_G(H)| = |G| / |class|
+        ngens, nset = list(gens), full_key if order == G.order else eset
+        for s in schreier:
+            if len(nset) == order:
+                break
+            if s not in nset:
+                ngens.append(s)
+                nset = mulclose(degree, ngens, seed=nset)
+        reps.append((eset, gens, ngens, nset))
 
     residual = _solvable_residual(degree, G.generators)
-    cyc: dict[frozenset, bytes] = {}
     unit_of: dict[bytes, bytes] = {}  # x -> the least generator of <x>
+    units = []  # the b with <b> of prime-power order, ascending
     for b in sorted(residual)[1:]:  # identity is first
-        unit_of[b] = cyc.setdefault(frozenset(mulclose(degree, (b,))), b)
-    units = sorted(u for eset, u in cyc.items() if _prime_power(len(eset)) is not None)
+        if b in unit_of:
+            continue
+        powers, tb = [b], table[b]
+        while powers[-1] != ident:
+            powers.append(powers[-1].translate(tb))
+        for k, y in enumerate(powers, 1):  # b^k generates <b> iff gcd(k, |b|) = 1
+            if math.gcd(k, len(powers)) == 1:
+                unit_of[y] = b
+        if _prime_power(len(powers)) is not None:
+            units.append(b)
     index = {u: i for i, u in enumerate(units)}
 
-    def orbit_firsts(conj: list[tuple[bytes, bytes]]) -> list[bytes]:
+    def orbit_firsts(conj: list[bytes]) -> list[bytes]:
         """The least unit of each orbit of the units under conjugation."""
-        moved = [[index[unit_of[cinv.translate(u.translate(tc) + pad)]]
-                  for u in units] for tc, cinv in conj]
+        moved = [[index[unit_of[cinv.translate(u.translate(table[c]) + pad)]]
+                  for u in units] for c, cinv in ((c, _inverse(c)) for c in conj)]
         return [units[orbit[0]] for orbit in _orbits(len(units), moved)]
 
     add_class(frozenset({ident}), ())
     while reps:
-        eset, gens = reps.popleft()
-        normal = all(normalizes(*c, eset, gens) for c in conj_by)
-        norm = elems if normal else [  # N_G(H)
-            x for x, c in conj_of.items() if normalizes(*c, eset, gens)]
+        eset, gens, ngens, nset = reps.popleft()
+        normal = len(nset) == G.order
         built: set[bytes] = set()  # elements of the U built from H so far
-        for x in norm:
+        for x in elems if normal else sorted(nset):
             if x in eset or x in built:
                 continue
-            tx = _table(x)
+            tx = table[x]
             k, y = 1, x
             while y not in eset:  # y = x^k
                 y = y.translate(tx)
@@ -400,16 +426,11 @@ def subgroup_records(G: PermGroup) -> dict[frozenset, tuple[bytes, ...]]:
             built.update(members)
             key = frozenset(members)
             if key not in subs:
-                add_class(key, gens + (x,))
+                add_class(key, gens + (intern[x],))
         if normal or not eset <= residual:
             continue
-        ngens, got = list(gens), eset  # H's generators, then each x not yet generated
-        for x in norm:
-            if x not in got:
-                ngens.append(x)
-                got = mulclose(degree, ngens, seed=got)
-        for g in orbit_firsts([conj_of[x] for x in ngens]):
-            if g in got:  # got is N_G(H)
+        for g in orbit_firsts(ngens):
+            if g in nset:
                 continue
             res = mulclose(degree, gens + (g,), seed=eset, stop_above=largest_proper)
             key = full_key if res is None else frozenset(intern[x] for x in res)

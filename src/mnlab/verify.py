@@ -21,8 +21,7 @@ from .construct import catalog, dihedral, regular_action, symmetric
 from .lattice import FinLattice, _mn_of
 from .partition import partition_index, rgs_canonical, rgs_refines
 from .perm import (PermGroup, _orbits, _prime_power, _small_genset,
-                   all_subgroups, is_dihedral, is_normal, quotient,
-                   subgroup_records)
+                   is_dihedral, is_normal, quotient, subgroup_records)
 
 THEOREM1_ENUM_DEGREE = 6
 THEOREM2_SIZE_BOUND = 6
@@ -66,7 +65,11 @@ def check_lemma(max_order: int = 24) -> VerificationReport:
     dihedral of order 2m with m prime and n = m + 1, and at least two
     intermediate subgroups have index 2.  Each finding is a dict; it also
     reports whether the quotient's rotation subgroup is simple, which for a
-    cyclic group of order m means m is prime."""
+    cyclic group of order m means m is prime.
+
+    The subgroups are the element sets of perm.subgroup_records, sorted by
+    size, so the interval [H, G] is the supersets of H in that order.  Only
+    an H that meets the hypothesis is built as a PermGroup."""
     if max_order < 1:
         raise ValueError(f"max_order must be at least 1, got {max_order}")
     t0 = time.perf_counter()
@@ -74,24 +77,26 @@ def check_lemma(max_order: int = 24) -> VerificationReport:
     n_groups = n_intervals = n_mn = n_skipped = 0
     for name, G in catalog(max_order):
         n_groups += 1
-        subs = all_subgroups(G)
-        for H in subs:
-            iv = [K for K in subs if H <= K]  # sorted, as subs is
+        recs = subgroup_records(G)
+        subs = sorted(recs, key=len)
+        for eset in subs:
+            iv = [K for K in subs if eset <= K]  # by order, so eset first, G last
             n_intervals += 1
-            n = _mn_of(iv[1:-1], operator.le)  # H first, G last
+            n = _mn_of(iv[1:-1], operator.le)
             if n is None:
                 continue
             n_mn += 1
-            index = G.order // H.order
+            index = G.order // len(eset)
             if index >= 2 * n:
                 n_skipped += 1
                 continue
+            H = PermGroup(G.degree, recs[eset], eset)
             h_normal = is_normal(G, H)
             m = is_dihedral(quotient(G, H)) if h_normal else None
             # the rotations form a cyclic group of order m: simple iff m is prime
             m_prime = m is not None and _prime_power(m) == m
             n_eq = m_prime and n == m + 1
-            two_index2 = sum(1 for K in iv[1:-1] if K.order == 2 * H.order) >= 2
+            two_index2 = sum(1 for K in iv[1:-1] if len(K) == 2 * H.order) >= 2
             findings.append({
                 "group": name,
                 "subgroup_key": _subgroup_key(H),
@@ -159,7 +164,7 @@ def check_theorem1(p: int) -> VerificationReport:
                  "subgroups": len(recs), "transitive": 0}
         hits = []
         for eset, gens in recs.items():
-            if len(_orbits(d, gens)) != 1:
+            if len({x[0] for x in eset}) != d:  # the orbit of 0 is not all
                 continue
             stats["transitive"] += 1
             congs = _congruence_set(d, gens)

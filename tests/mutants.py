@@ -64,18 +64,18 @@ DROP_ONE = ("the slice loses one intermediate: as the index-2 count is 0 or"
 
 # mutant label -> why no test can kill it
 EQUIVALENT = {
-    "check_lemma:+23:15 op 0 flipped: index >= 2 * n -> index > 2 * n":
+    "check_lemma:+28:15 op 0 flipped: index >= 2 * n -> index > 2 * n":
         "no M_n interval of catalog(48) has index exactly 2n (398 lie below,"
         " 8 above), so the boundary is unreachable on the sweep's domain",
-    "check_lemma:+31:25 op 0 flipped: sum((1 for K in iv[1:-1] if K.order =="
-    " 2 * H.order)) >= 2 -> sum((1 for K in iv[1:-1] if K.order == 2 *"
+    "check_lemma:+37:25 op 0 flipped: sum((1 for K in iv[1:-1] if len(K) =="
+    " 2 * H.order)) >= 2 -> sum((1 for K in iv[1:-1] if len(K) == 2 *"
     " H.order)) > 2": PARITY,
-    "check_lemma:+31:79 +1: 2 -> 3": PARITY,
-    "check_lemma:+31:43 -1: 1 -> 0":
+    "check_lemma:+37:78 +1: 2 -> 3": PARITY,
+    "check_lemma:+37:43 -1: 1 -> 0":
         "the slice then takes in H, whose order is not 2 |H|",
-    "check_lemma:+31:43 +1: 1 -> 2": DROP_ONE,
-    "check_lemma:+31:46 +1: 1 -> 2": DROP_ONE,
-    "check_lemma:+43:22 term 1 dropped: n_eq and two_index2 -> n_eq":
+    "check_lemma:+37:43 +1: 1 -> 2": DROP_ONE,
+    "check_lemma:+37:46 +1: 1 -> 2": DROP_ONE,
+    "check_lemma:+49:22 term 1 dropped: n_eq and two_index2 -> n_eq":
         "n_eq holds only when G/H is dihedral of order 2m, m prime, so the"
         " interval is the subgroup lattice of D_2m, whose m reflection"
         " subgroups (all three subgroups of order 2 when m = 2) have index 2"

@@ -17,6 +17,7 @@ from mnlab.perm import _solvable_residual, mulclose, subgroup_records
 
 from oracles import (core, derived_series_oracle, is_even, is_simple,
                      subgroups_join_closure)
+from records_digest import digest, named, recorded
 
 perms = st.integers(2, 6).flatmap(
     lambda d: st.permutations(range(d)).map(Perm))
@@ -256,6 +257,22 @@ class TestSubgroups:
             for K in subs:
                 if A <= K and B <= K:
                     assert J <= K
+
+
+class TestRecordedRecords:
+    """subgroup_records' sets, generators and dict order against the digests
+    in tests/data/subgroup_records.sha256 (see tests/records_digest.py).
+    S7 and A7 are listed there too and checked in CI, past this suite."""
+
+    @pytest.mark.parametrize("name", ["S1", "S2", "S3", "S4", "S5", "S6",
+                                      "A5", "A6"])
+    def test_symmetric_and_alternating(self, name):
+        assert digest(named([name])[name]) == recorded()[name]
+
+    def test_catalog_48(self):
+        want = {n: d for n, d in recorded().items() if n.startswith("catalog48:")}
+        assert len(want) == 184
+        assert {n: digest(G) for n, G in named(want).items()} == want
 
 
 class TestSolvableResidual:

@@ -75,6 +75,19 @@ class TestEnumeration:
                 for _ in range(rng.randint(0, 3))]
             assert _orbits(degree, gens) == orbits_bfs(degree, gens), gens
 
+    def test_transitivity_by_the_orbit_of_0(self, symmetric_subgroups):
+        """check_theorem1 reads transitivity as the orbit of point 0 being
+        all d points.  It and perm._orbits agree with the breadth-first
+        oracle on every subgroup of S1-S6."""
+        transitive = 0
+        for d in range(1, 7):
+            for K in symmetric_subgroups(d):
+                want = orbits_bfs(d, K.generators)
+                assert _orbits(d, K.generators) == want
+                assert (len({x[0] for x in K}) == d) == (len(want) == 1)
+                transitive += len(want) == 1
+        assert transitive == 312
+
     def test_mn_of_congset(self):
         from mnlab import regular_action, klein
         from mnlab.congruence import _congruence_set
