@@ -17,7 +17,8 @@ G = group_closure(3, [Perm((1, 0, 2)), Perm((0, 2, 1))])
 print("closure of two transpositions:", G.order, "elements")
 assert G == symmetric(3)
 
-# Subgroup enumeration: every cyclic subgroup, closed under pairwise join.
+# Subgroup enumeration: every subgroup, by cyclic extension of one
+# representative per conjugacy class.
 subs = all_subgroups(G)
 print("subgroups of S3 by order:", [H.order for H in subs])
 

@@ -4,7 +4,8 @@
 # of that algebra.  The partitions stand on their own as a full congruence
 # lattice exactly when this closure adds nothing.
 
-from mnlab import galois_closure, galois_is_closed, preserving_maps
+from mnlab import (UnaryAlgebra, all_congruences, galois_is_closed,
+                   preserving_maps)
 from mnlab.verify import _atom_systems
 
 # Three pairwise-disjoint doubleton partitions of a 3-set: the atoms of the
@@ -14,7 +15,7 @@ from mnlab.verify import _atom_systems
 # block number, blocks numbered by first appearance.
 atoms = [(0, 0, 1), (0, 1, 0), (0, 1, 1)]
 print("maps preserving the Eq(3) atoms:", preserving_maps(3, atoms))
-L = galois_closure(3, atoms)
+L = all_congruences(UnaryAlgebra(3, preserving_maps(3, atoms)))
 print("closure shape:", L.shape_report(), "| closed:", galois_is_closed(3, atoms))
 # So M_3 is realizable on only 3 elements; the 2p size bound needs p odd.
 

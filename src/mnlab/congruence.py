@@ -1,4 +1,4 @@
-"""Unary algebras, congruence lattices, and the partition Galois closure.
+"""Unary algebras, congruence lattices, and Galois-closed partition systems.
 
 A congruence of a unary algebra is a partition compatible with every
 operation (x ~ y implies f(x) ~ f(y)).  The main route computes all
@@ -6,10 +6,11 @@ congruences by generating principal ones and closing under join, on the
 coatom masks of ``partition_index`` for carriers of up to INDEX_SIZE_BOUND
 (7) points and with ``rgs_join`` above that; the oracle route searches
 every partition of the carrier, dropping dead prefixes, exactly those that
-no congruence extends.  ``galois_closure`` goes the other way: from a set
-of partitions to all maps preserving them, and back to the congruence
-lattice of the resulting algebra.  Partitions are RGS sequences: plain
-tuples and ``Partition`` objects alike.
+no congruence extends.  ``preserving_maps`` goes the other way, from a set
+of partitions to all maps preserving them; the congruences of the algebra
+of those maps are the Galois closure of the set, and ``galois_is_closed``
+tests whether the set is already closed.  Partitions are RGS sequences:
+plain tuples and ``Partition`` objects alike.
 """
 
 from __future__ import annotations
@@ -209,17 +210,6 @@ def preserving_maps(size: int,
 
     assign(0)
     return out
-
-
-def galois_closure(size: int, parts: Sequence[Sequence[int]]) -> FinLattice:
-    """Congruence lattice of the algebra of *all* maps preserving ``parts``.
-
-    The input partitions always appear in the result.  They form a full
-    congruence lattice on their own exactly when the result adds nothing
-    beyond the bottom, the parts, and the top.
-    """
-    maps = preserving_maps(size, parts)
-    return _lattice_from_rgs(_congruence_set(size, maps))
 
 
 def galois_is_closed(size: int, parts: Sequence[Sequence[int]]) -> bool:

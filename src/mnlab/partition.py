@@ -1,8 +1,9 @@
-"""Set partitions in restricted-growth-string form, with meet and join.
+"""Set partitions in restricted-growth-string form.
 
 The RGS of a partition assigns each element its block index, blocks numbered
 by first appearance (so rgs[0] = 0 and rgs[i] <= 1 + max of the prefix).
-The RGS is the value: a ``Partition`` is a tuple subclass equal to its RGS.
+A partition is its RGS tuple, and the ``rgs_*`` functions join, refine and
+close them; ``Partition`` only checks that a tuple is a valid RGS.
 
 ``rgs_closure`` is the one union-find of the library: the finest partition
 relating some pairs and compatible with some maps.  A principal congruence
@@ -48,14 +49,6 @@ def rgs_is_valid(rgs: Sequence[int]) -> bool:
             return False
         top = max(top, x)
     return True
-
-
-def rgs_meet(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
-    """Common refinement: same block iff same block in both."""
-    if not a:
-        return ()
-    stride = max(b) + 1
-    return rgs_canonical([ai * stride + bi for ai, bi in zip(a, b)])
 
 
 def rgs_closure(size: int, pairs: Iterable[tuple[int, int]],
@@ -193,63 +186,16 @@ def partition_index(n: int) -> PartitionIndex:
 
 
 class Partition(tuple):
-    """An equivalence relation on {0..n-1}, valued as its canonical RGS.
-    ``<=`` and ``>=`` are refinement; ``<`` and ``>`` the tuple order."""
+    """A tuple checked to be a valid RGS.  Compare partitions with
+    ``rgs_refines``: ``<=`` and ``>=`` are the tuple order."""
 
     __slots__ = ()
 
     def __new__(cls, rgs: Iterable[int]) -> "Partition":
         self = super().__new__(cls, rgs)
         if not rgs_is_valid(self):
-            raise ValueError(f"not a restricted-growth string: {self.rgs!r}")
+            raise ValueError(f"not a restricted-growth string: {tuple(self)!r}")
         return self
 
-    @classmethod
-    def bottom(cls, size: int) -> "Partition":
-        """All singletons (the identity relation)."""
-        return cls(range(size))
-
-    @classmethod
-    def top(cls, size: int) -> "Partition":
-        """A single block relating everything."""
-        return cls([0] * size)
-
-    @property
-    def rgs(self) -> tuple[int, ...]:
-        return tuple(self)
-
-    def blocks(self) -> tuple[tuple[int, ...], ...]:
-        return _rgs_blocks(self)
-
-    def same(self, x: int, y: int) -> bool:
-        return self[x] == self[y]
-
-    def meet(self, other: Sequence[int]) -> "Partition":
-        self._check(other)
-        return Partition(rgs_meet(self, other))
-
-    def join(self, other: Sequence[int]) -> "Partition":
-        self._check(other)
-        return Partition(rgs_join(self, other))
-
-    def refines(self, other: Sequence[int]) -> bool:
-        self._check(other)
-        return rgs_refines(self, other)
-
-    __and__ = meet
-    __or__ = join
-    __le__ = refines
-
-    def __ge__(self, other: Sequence[int]) -> bool:
-        self._check(other)
-        return rgs_refines(other, self)
-
-    def _check(self, other: Sequence[int]) -> None:
-        if len(self) != len(other):
-            raise ValueError(f"size mismatch: {len(self)} vs {len(other)}")
-
-    def __str__(self) -> str:
-        return "|".join(" ".join(map(str, b)) for b in self.blocks())
-
     def __repr__(self) -> str:
-        return f"Partition({self.rgs!r})"
+        return f"Partition({tuple(self)!r})"

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass
 from typing import AbstractSet, Iterable, Iterator, Optional, Sequence
 
 from .partition import _rgs_blocks, rgs_closure
@@ -455,36 +454,9 @@ def interval(G: PermGroup, H: PermGroup) -> tuple[PermGroup, ...]:
     return tuple(K for K in all_subgroups(G) if H <= K)
 
 
-@dataclass(frozen=True)
-class Coset:
-    """A left coset of a subgroup, with its least element as representative."""
-    rep: Perm
-    members: tuple[Perm, ...]
-
-    def __len__(self) -> int:
-        return len(self.members)
-
-    def __iter__(self) -> Iterator[Perm]:
-        return iter(self.members)
-
-
-def cosets(G: PermGroup, H: PermGroup) -> list[Coset]:
-    """Left cosets gH, ordered by representative (least member)."""
-    _require_subgroup(G, H)
-    covered: set[bytes] = set()
-    out = []
-    for p in G.elements:  # ascending, so the first hit in a coset is its min
-        if p in covered:
-            continue
-        members = sorted(_compose(p, h) for h in H.elements)
-        covered.update(members)
-        out.append(Coset(p, tuple(map(Perm._raw, members))))
-    return out
-
-
 def _on_cosets(G: PermGroup, H: PermGroup, xs: Iterable[Perm]) -> list[Perm]:
     """Each x of G acting on the left cosets of H by left multiplication, the
-    cosets numbered by least member in the order of ``cosets``."""
+    cosets numbered in order of their least members."""
     number: dict[bytes, int] = {}
     reps: list[bytes] = []
     for p in G.elements:  # ascending, so the first hit in a coset is its min
@@ -507,10 +479,11 @@ def is_normal(G: PermGroup, H: PermGroup) -> bool:
     return True
 
 
-def quotient(G: PermGroup, N: PermGroup) -> PermGroup:
-    """G/N as the permutation group of G's generators acting on cosets of N."""
+def quotient(G: PermGroup, N: PermGroup) -> Optional[PermGroup]:
+    """G/N as the permutation group of G's generators acting on cosets of N;
+    None if N is not normal in G."""
     if not is_normal(G, N):
-        raise ValueError("N is not normal in G")
+        return None
     index = G.order // N.order
     Q = group_closure(index, _on_cosets(G, N, G.generators))
     assert Q.order == index

@@ -21,7 +21,7 @@ from .construct import catalog, dihedral, regular_action, symmetric
 from .lattice import FinLattice, _mn_of
 from .partition import partition_index, rgs_canonical, rgs_refines
 from .perm import (PermGroup, _orbits, _prime_power, _small_genset,
-                   is_dihedral, is_normal, quotient, subgroup_records)
+                   is_dihedral, quotient, subgroup_records)
 
 THEOREM1_ENUM_DEGREE = 6
 THEOREM2_SIZE_BOUND = 6
@@ -91,8 +91,9 @@ def check_lemma(max_order: int = 24) -> VerificationReport:
                 n_skipped += 1
                 continue
             H = PermGroup(G.degree, recs[eset], eset)
-            h_normal = is_normal(G, H)
-            m = is_dihedral(quotient(G, H)) if h_normal else None
+            Q = quotient(G, H)
+            h_normal = Q is not None
+            m = is_dihedral(Q) if h_normal else None
             # the rotations form a cyclic group of order m: simple iff m is prime
             m_prime = m is not None and _prime_power(m) == m
             n_eq = m_prime and n == m + 1

@@ -9,7 +9,10 @@ Run by hand from the root of a checkout (pytest does not collect this file):
 Each mutant is one small edit of one function named in FUNCTIONS: a
 comparison flipped, ``and``/``or`` or ``&``/``|`` swapped, one term of a
 boolean dropped, a ``not`` dropped, or an integer constant 1 or 2 moved by
-one.  The sweep copies ``src/``, ``tests/`` and ``pyproject.toml`` into a
+one.  A mutant's label names the function, the edit, and the statement it
+edits before and after (its ``ast.unparse`` text, without the body of a
+compound statement), so no edit elsewhere renames it; labels are unique.
+The sweep copies ``src/``, ``tests/`` and ``pyproject.toml`` into a
 work directory, writes each mutant there in turn and runs the tests named in
 TESTS against it; the checkout itself is never written.  A mutant survives
 when every test passes.  Each child process gets a time limit and an
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import copy
 import os
 import resource
 import shutil
@@ -62,25 +66,39 @@ DROP_ONE = ("the slice loses one intermediate: as the index-2 count is 0 or"
             " odd, a count of at least 3 stays at least 2 and a count of 0 or"
             " 1 stays below 2")
 
+# check_lemma's finding, the statement of one entry of EQUIVALENT
+FINDING = ("findings.append({'group': name, 'subgroup_key': _subgroup_key(H),"
+           " 'subgroup_order': H.order, 'n': n, 'index': index,"
+           " 'conclusions': {'h_normal': h_normal, 'quotient_dihedral_m': m,"
+           " 'n_eq_p_plus_1': n_eq, 'two_index2_intermediates': two_index2,"
+           " 'rotation_simple': m_prime}, 'ok': n_eq and two_index2})")
+TWO_INDEX2 = ("two_index2 = sum((1 for K in iv[{}:{}] if len(K) == 2 *"
+              " H.order)) {} {}")
+
 # mutant label -> why no test can kill it
 EQUIVALENT = {
-    "check_lemma:+28:15 op 0 flipped: index >= 2 * n -> index > 2 * n":
+    "check_lemma op 0 flipped: if index >= 2 * n: -> if index > 2 * n:":
         "no M_n interval of catalog(48) has index exactly 2n (398 lie below,"
         " 8 above), so the boundary is unreachable on the sweep's domain",
-    "check_lemma:+37:25 op 0 flipped: sum((1 for K in iv[1:-1] if len(K) =="
-    " 2 * H.order)) >= 2 -> sum((1 for K in iv[1:-1] if len(K) == 2 *"
-    " H.order)) > 2": PARITY,
-    "check_lemma:+37:78 +1: 2 -> 3": PARITY,
-    "check_lemma:+37:43 -1: 1 -> 0":
+    "check_lemma op 0 flipped: " + TWO_INDEX2.format(1, -1, ">=", 2) + " -> "
+    + TWO_INDEX2.format(1, -1, ">", 2): PARITY,
+    "check_lemma +1: " + TWO_INDEX2.format(1, -1, ">=", 2) + " -> "
+    + TWO_INDEX2.format(1, -1, ">=", 3): PARITY,
+    "check_lemma -1: " + TWO_INDEX2.format(1, -1, ">=", 2) + " -> "
+    + TWO_INDEX2.format(0, -1, ">=", 2):
         "the slice then takes in H, whose order is not 2 |H|",
-    "check_lemma:+37:43 +1: 1 -> 2": DROP_ONE,
-    "check_lemma:+37:46 +1: 1 -> 2": DROP_ONE,
-    "check_lemma:+49:22 term 1 dropped: n_eq and two_index2 -> n_eq":
+    "check_lemma +1: " + TWO_INDEX2.format(1, -1, ">=", 2) + " -> "
+    + TWO_INDEX2.format(2, -1, ">=", 2): DROP_ONE,
+    "check_lemma +1: " + TWO_INDEX2.format(1, -1, ">=", 2) + " -> "
+    + TWO_INDEX2.format(1, -2, ">=", 2): DROP_ONE,
+    f"check_lemma term 1 dropped: {FINDING} -> "
+    + FINDING.replace("n_eq and two_index2}", "n_eq}"):
         "n_eq holds only when G/H is dihedral of order 2m, m prime, so the"
         " interval is the subgroup lattice of D_2m, whose m reflection"
         " subgroups (all three subgroups of order 2 when m = 2) have index 2"
         " over H: two_index2 follows",
-    "_atom_systems:+12:19 -1: 1 -> 0":
+    "_atom_systems -1: proper = range(1, ix.bottom) -> proper ="
+    " range(0, ix.bottom)":
         "`proper` then takes in the top (id 0), whose pair relation meets every"
         " other partition's: apart[0] is 0 and no apart[j] holds 0, so the top"
         " opens one empty branch at the first level and is never a candidate",
@@ -113,19 +131,39 @@ def _functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
             if isinstance(f, ast.FunctionDef) and f.name in FUNCTIONS}
 
 
+def _header(stmt: ast.stmt) -> str:
+    """A statement's source, without the bodies of a compound statement."""
+    head = copy.copy(stmt)
+    for body in ("body", "orelse", "handlers", "finalbody"):
+        if hasattr(head, body):
+            setattr(head, body, [])
+    return ast.unparse(head)
+
+
 def mutants(source: str):
-    """(label, mutated module source) for every mutant of `source`."""
+    """(label, mutated module source) for every mutant of `source`.  The
+    label is the function, the edit, and the innermost statement holding the
+    edited node before and after it, so an edit elsewhere in the module does
+    not rename a mutant."""
     tree = ast.parse(source)
+    labels = set()
     for name, func in _functions(tree).items():
-        for index, node in enumerate(ast.walk(func)):
+        nodes = list(ast.walk(func))
+        owner = {}  # node -> walk index of its innermost statement
+        for i, stmt in enumerate(nodes):  # breadth-first, so inner ones last
+            if isinstance(stmt, ast.stmt):
+                owner.update(dict.fromkeys(ast.walk(stmt), i))
+        for index, node in enumerate(nodes):
             for k, (what, _) in enumerate(_edits(node)):
-                copy = ast.parse(source)
-                target = list(ast.walk(_functions(copy)[name]))[index]
-                before = ast.unparse(target)
-                list(_edits(target))[k][1](target)
-                label = (f"{name}:+{node.lineno - func.lineno}:{node.col_offset}"
-                         f" {what}: {before} -> {ast.unparse(target)}")
-                yield label, ast.unparse(copy)
+                mutated = ast.parse(source)
+                walked = list(ast.walk(_functions(mutated)[name]))
+                stmt = walked[owner[node]]
+                before = _header(stmt)
+                list(_edits(walked[index]))[k][1](walked[index])
+                label = f"{name} {what}: {before} -> {_header(stmt)}"
+                assert label not in labels, f"two mutants labelled {label!r}"
+                labels.add(label)
+                yield label, ast.unparse(mutated)
 
 
 def _limit_memory() -> None:

@@ -22,7 +22,8 @@ subgroup of ``subgroups_join_closure`` that equals its own core.
 ``itertools.permutations``, with no generators and no search.
 
 ``all_partitions`` grows every RGS one element at a time, each element
-joining a block so far or opening the next one.  ``preserves`` checks a map
+joining a block so far or opening the next one.  ``rgs_meet`` numbers each
+point by its pair of blocks.  ``preserves`` checks a map
 on every related pair.  ``m_n`` writes down the up-sets of M_n.
 
 ``closure_by_intersection`` is the definition of the least equivalence
@@ -47,7 +48,7 @@ import functools
 import itertools
 
 from mnlab import FinLattice, Partition
-from mnlab.partition import all_rgs, rgs_join, rgs_meet
+from mnlab.partition import all_rgs, rgs_canonical, rgs_join
 from mnlab.perm import PermGroup, _compose, _inverse, mulclose
 
 
@@ -212,6 +213,11 @@ def all_partitions(n):
     for _ in range(n):
         rgss = [r + (b,) for r in rgss for b in range(max(r, default=-1) + 2)]
     return [Partition(r) for r in rgss]
+
+
+def rgs_meet(a, b):
+    """The common refinement of two RGS: x ~ y iff x ~ y in both."""
+    return rgs_canonical(zip(a, b))
 
 
 def preserves(op, part):

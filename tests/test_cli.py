@@ -282,7 +282,7 @@ class TestVerify:
                 ("galois_is_closed", lambda n, atoms: n == 5 or real(n, atoms),
                  theorem2),
                 ("galois_is_closed", lambda n, atoms: False, theorem2),
-                ("is_normal", lambda G, H: False, ["verify", "lemma"]),
+                ("quotient", lambda G, H: None, ["verify", "lemma"]),
                 ("is_dihedral", lambda K: None,
                  ["verify", "theorem1", "--p", "2"]),
                 ("_mn_of", lambda mids, leq: 3,

@@ -8,15 +8,15 @@ import re
 import pytest
 
 from mnlab import (Partition, UnaryAlgebra, all_congruences,
-                   congruences_oracle, cyclic, dihedral,
-                   galois_closure, galois_is_closed, gset_algebra, klein,
-                   preserving_maps, regular_action, symmetric)
+                   congruences_oracle, cyclic, dihedral, galois_is_closed,
+                   gset_algebra, klein, preserving_maps, regular_action,
+                   symmetric)
 from mnlab.congruence import _congruence_set, _lattice_from_rgs, _principal_rgs
 from mnlab.partition import INDEX_SIZE_BOUND, rgs_canonical, rgs_refines
 from mnlab.perm import PermGroup
 
 from oracles import (all_partitions, atom_systems, orbits_bfs, point_blocks,
-                     preserves)
+                     preserves, rgs_meet)
 
 KLEIN_REGULAR = gset_algebra(regular_action(klein()))
 
@@ -70,7 +70,7 @@ class TestPreserves:
 
     def test_bottom_always_preserved(self):
         for op in itertools.product(range(3), repeat=3):
-            assert preserves(op, Partition.bottom(3))
+            assert preserves(op, Partition((0, 1, 2)))
 
     def test_split_blocks_detected(self):
         assert not preserves((1, 0, 2), Partition((0, 1, 0)))
@@ -89,11 +89,11 @@ class TestPrincipal:
         assert principal(KLEIN_REGULAR, 0, 1) == (0, 0, 1, 1)
 
     def test_reflexive_seed_gives_bottom(self):
-        assert principal(KLEIN_REGULAR, 2, 2) == Partition.bottom(4)
+        assert principal(KLEIN_REGULAR, 2, 2) == (0, 1, 2, 3)
 
     def test_three_cycle_smears_to_top(self):
         A = UnaryAlgebra(3, ((1, 2, 0),))
-        assert principal(A, 0, 1) == Partition.top(3)
+        assert principal(A, 0, 1) == (0, 0, 0)
 
     def test_principal_is_meet_of_containing_congruences(self):
         rng = random.Random(7)
@@ -105,11 +105,8 @@ class TestPrincipal:
             congs = [p for p in all_partitions(size)
                      if all(preserves(op, p) for op in ops)]
             a, b = rng.randrange(size), rng.randrange(size)
-            above = [c for c in congs if c.same(a, b)]
-            meet = above[0]
-            for c in above[1:]:
-                meet = meet & c
-            assert principal(A, a, b) == meet
+            above = [c for c in congs if c[a] == c[b]]
+            assert principal(A, a, b) == functools.reduce(rgs_meet, above)
 
 
 class TestAllCongruences:
@@ -314,6 +311,12 @@ class TestPreservingMaps:
     def test_size_bound(self):
         with pytest.raises(ValueError, match="exceeds bound"):
             preserving_maps(9, [])
+
+
+def galois_closure(size, parts):
+    """The Galois closure of ``parts``: the congruence lattice of the algebra
+    of every map preserving them."""
+    return all_congruences(UnaryAlgebra(size, preserving_maps(size, parts)))
 
 
 class TestRgsParts:

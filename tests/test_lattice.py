@@ -16,9 +16,10 @@ from mnlab import (FinLattice, NotALatticeError, UnaryAlgebra,
                    all_congruences, all_subgroups, chain, cyclic, gset_algebra,
                    klein, regular_action, symmetric)
 from mnlab.congruence import _congruence_set
-from mnlab.partition import rgs_join, rgs_meet
+from mnlab.partition import rgs_join
 
-from oracles import is_join_irreducible, is_lattice, m_n, pair_has_join
+from oracles import (is_join_irreducible, is_lattice, m_n, pair_has_join,
+                     rgs_meet)
 
 
 @st.composite

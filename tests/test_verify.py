@@ -15,12 +15,13 @@ from mnlab import (Partition, Perm, PermGroup, UnaryAlgebra, all_congruences,
                    gset_algebra, is_dihedral, minimal_representation, quotient,
                    symmetric, verify)
 from mnlab.congruence import CON_SIZE_BOUND, _congruence_set
-from mnlab.partition import rgs_join, rgs_meet, rgs_refines
+from mnlab.partition import rgs_join, rgs_refines
 from mnlab.perm import _orbits, mulclose
 from mnlab.verify import _atom_systems, _mn_of, _orbit_firsts, _subgroup_key
 
 from oracles import (atom_systems, core, is_simple, maximal_descent_closure,
-                     orbits_bfs, subgroups_bounded_gen, system_orbits)
+                     orbits_bfs, rgs_meet, subgroups_bounded_gen,
+                     system_orbits)
 
 # check_theorem2(3, 6).to_dict() without timing_ms, as written before the
 # sweep Galois-checked one system per orbit
@@ -189,7 +190,7 @@ class TestLemmaSweep:
             assert not c["n_eq_p_plus_1"] and not f["ok"]
 
     def test_non_normal_subgroup_fails(self, monkeypatch):
-        monkeypatch.setattr(verify, "is_normal", lambda G, H: False)
+        monkeypatch.setattr(verify, "quotient", lambda G, H: None)
         report = check_lemma(max_order=24)
         assert report.status == "FAIL" and report.findings
         assert report.witnesses == [] and report.counterexamples == report.findings
