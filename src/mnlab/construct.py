@@ -234,6 +234,6 @@ def catalog(max_order: int = 24) -> list[tuple[str, PermGroup]]:
         add(name, G)
     for i, (n1, G1) in enumerate(base):
         for n2, G2 in base[i:]:
-            if G1.order * G2.order <= max_order:
+            if 1 < G1.order and G1.order * G2.order <= max_order:  # Z1 x G acts as G
                 add(f"{n1}x{n2}", direct_product(G1, G2))
     return out

@@ -20,8 +20,9 @@ but the top is the meet of its coatoms, so a join is the top exactly when
 the coatom masks are disjoint, and a join's coatom mask is their ``&``.
 Either mask decides refinement by a subset test.  Two lookups invert the
 tables: ``ids`` maps an RGS to its id and ``co_ids`` a coatom mask to its
-id.  Besides the theorem-2 clique search, the index serves the congruence
-join closure, which runs on coatom masks up to INDEX_SIZE_BOUND points.
+id.  It serves theorem 2's clique searches, which count candidate systems
+from one partition per block-size shape and list the pairwise-top ones, and
+the congruence join closure on coatom masks up to INDEX_SIZE_BOUND points.
 The index is built on first use for each n and kept for the life of the
 process.
 """

@@ -261,14 +261,13 @@ def _prime_power(n: int) -> Optional[int]:
     return n
 
 
-def _solvable_residual(degree: int, gens: Iterable[bytes]) -> set[bytes]:
-    """The element set of the last term of the derived series of the group
-    generated by ``gens``.  Each term is the normal closure, in the term
-    before, of the commutators of that term's generators; the series stops
-    when a term does not shrink."""
+def _solvable_residual(G: PermGroup) -> AbstractSet[bytes]:
+    """The element set of the last term of the derived series of G.  The
+    series starts at G's elements; each term is the normal closure, in the
+    term before, of the commutators of that term's generators, and the
+    series stops when a term does not shrink."""
+    degree, elems, gens = G.degree, G, [bytes(g) for g in G.generators]
     ident = bytes(range(degree))
-    gens = [bytes(g) for g in gens]
-    elems = mulclose(degree, gens)
     while True:
         ginv = [(g, _inverse(g)) for g in gens]
         todo = [_compose(_compose(a, b), _compose(ai, bi))
@@ -381,10 +380,10 @@ def subgroup_records(G: PermGroup) -> dict[frozenset, tuple[bytes, ...]]:
                 nset = mulclose(degree, ngens, seed=nset)
         reps.append((eset, gens, ngens, nset))
 
-    residual = _solvable_residual(degree, G.generators)
+    residual = _solvable_residual(G)
     unit_of: dict[bytes, bytes] = {}  # x -> the least generator of <x>
     units = []  # the b with <b> of prime-power order, ascending
-    for b in sorted(residual)[1:]:  # identity is first
+    for b in sorted(map(intern.__getitem__, residual))[1:]:  # identity is first
         if b in unit_of:
             continue
         powers, tb = [b], table[b]

@@ -210,10 +210,13 @@ def _atom_systems(size: int, k: int) -> tuple[int, list[tuple]]:
     joint join top, and list the ones whose pairwise joins are all the top,
     as tuples of RGS in lexicographic order.
 
-    A clique search on interned partition ids, for k >= 2.  Meet is bottom
-    when pair relations are disjoint; the running joint join is carried as
-    its coatom mask, and a join is top when coatom masks are disjoint.  The
-    last level is counted as a mask; only its pairwise-top members are listed.
+    Clique searches on interned partition ids, for k >= 2: meet is bottom
+    when pair relations are disjoint, join is top when coatom masks are.
+    Relabelling the carrier keeps both, so all partitions of one shape (block
+    sizes) lie in equally many candidates: the count runs one search per
+    shape, weights it by the shape's number of partitions and divides by k.
+    The listing takes the k-cliques, ids ascending, of the sparse graph of
+    bottom meets and top joins; pairwise top joins make the joint join top.
     """
     ix = partition_index(size)
     parts, rel, co = ix.parts, ix.rel, ix.co
@@ -232,35 +235,42 @@ def _atom_systems(size: int, k: int) -> tuple[int, list[tuple]]:
             if m >> c & 1:
                 under |= ids
         tops[m] = full & ~under
-    pairwise_top = []
 
-    def search(cand: int, joined: int, ptop: int, chosen: tuple) -> int:
-        # cand holds the proper ids above the last chosen, meet-disjoint from
-        # all chosen; joined the coatom mask of their join; ptop the ids
-        # pairwise-top with all chosen, 0 once a chosen pair is not
-        count = 0
-        last_level = len(chosen) == k - 2
+    def count(cand: int, joined: int, left: int) -> int:
+        # left-sets of meet-disjoint ids of cand that join joined to the top
+        if left == 1:
+            return (cand & tops[joined]).bit_count()
+        n = 0
         while cand:
             low = cand & -cand
             cand ^= low
             i = low.bit_length() - 1
-            nxt = cand & apart[i]
-            ptop_i = ptop & tops[co[i]] if ptop & low else 0
-            mask = joined & co[i]
-            if not last_level:
-                count += search(nxt, mask, ptop_i, (*chosen, parts[i]))
-                continue
-            nxt &= tops[mask]
-            count += nxt.bit_count()
-            done = nxt & ptop_i
-            while done:
-                bit = done & -done
-                done ^= bit
-                pairwise_top.append((*chosen, parts[i],
-                                     parts[bit.bit_length() - 1]))
-        return count
+            n += count(cand & apart[i], joined & co[i], left - 1)
+        return n
 
-    return search(full, co[ix.bottom], full, ()), pairwise_top
+    shapes: dict[tuple, list[int]] = {}  # shape -> [least id, class size]
+    for i in proper:
+        shape = tuple(sorted(map(parts[i].count, set(parts[i]))))
+        shapes.setdefault(shape, [i, 0])[1] += 1
+    total = sum(n * count(apart[i], co[i], k - 1) for i, n in shapes.values())
+
+    adj = [a & tops[m] for a, m in zip(apart, co)]  # meet bottom, join top
+    pairwise_top = []
+
+    def listing(cand: int, chosen: tuple) -> None:
+        # the ids of cand, each above every id chosen and adjacent to each
+        while cand:
+            low = cand & -cand
+            cand ^= low
+            i = low.bit_length() - 1
+            nxt = cand & adj[i]
+            if len(chosen) == k - 1:
+                pairwise_top.append((*chosen, parts[i]))
+            elif nxt:
+                listing(nxt, (*chosen, parts[i]))
+
+    listing(full, ())
+    return total // k, pairwise_top
 
 
 def _orbit_firsts(size: int, systems: list[tuple]) -> list[int]:

@@ -9,9 +9,10 @@ Run by hand from the root of a checkout (pytest does not collect this file):
 Each mutant is one small edit of one function named in FUNCTIONS: a
 comparison flipped, ``and``/``or`` or ``&``/``|`` swapped, one term of a
 boolean dropped, a ``not`` dropped, or an integer constant 1 or 2 moved by
-one.  A mutant's label names the function, the edit, and the statement it
-edits before and after (its ``ast.unparse`` text, without the body of a
-compound statement), so no edit elsewhere renames it; labels are unique.
+one.  A mutant's label names the function (``outer.inner`` for one nested
+in it), the edit, and the statement it edits before and after (its
+``ast.unparse`` text, without the body of a compound statement), so no
+edit elsewhere renames it; labels are unique.
 The sweep copies ``src/``, ``tests/`` and ``pyproject.toml`` into a
 work directory, writes each mutant there in turn and runs the tests named in
 TESTS against it; the checkout itself is never written.  A mutant survives
@@ -100,8 +101,10 @@ EQUIVALENT = {
     "_atom_systems -1: proper = range(1, ix.bottom) -> proper ="
     " range(0, ix.bottom)":
         "`proper` then takes in the top (id 0), whose pair relation meets every"
-        " other partition's: apart[0] is 0 and no apart[j] holds 0, so the top"
-        " opens one empty branch at the first level and is never a candidate",
+        " other partition's but the bottom's: apart[0] is 0 and no proper"
+        " apart[j] holds 0, so neither does adj.  The top is the one partition"
+        " of its shape, and as that shape's representative it counts 0"
+        " candidates; in the listing it opens no branch, as adj[0] is 0",
 }
 
 
@@ -142,17 +145,22 @@ def _header(stmt: ast.stmt) -> str:
 
 def mutants(source: str):
     """(label, mutated module source) for every mutant of `source`.  The
-    label is the function, the edit, and the innermost statement holding the
-    edited node before and after it, so an edit elsewhere in the module does
-    not rename a mutant."""
+    label is the innermost function holding the edited node (``outer.inner``
+    for a nested one), the edit, and the innermost statement holding the
+    node before and after it, so an edit elsewhere in the module does not
+    rename a mutant."""
     tree = ast.parse(source)
     labels = set()
     for name, func in _functions(tree).items():
         nodes = list(ast.walk(func))
         owner = {}  # node -> walk index of its innermost statement
+        scope = {}  # node -> dotted name of its innermost function
         for i, stmt in enumerate(nodes):  # breadth-first, so inner ones last
             if isinstance(stmt, ast.stmt):
                 owner.update(dict.fromkeys(ast.walk(stmt), i))
+            if isinstance(stmt, ast.FunctionDef):
+                inner = f"{scope[stmt]}.{stmt.name}" if i else name
+                scope.update(dict.fromkeys(ast.walk(stmt), inner))
         for index, node in enumerate(nodes):
             for k, (what, _) in enumerate(_edits(node)):
                 mutated = ast.parse(source)
@@ -160,7 +168,7 @@ def mutants(source: str):
                 stmt = walked[owner[node]]
                 before = _header(stmt)
                 list(_edits(walked[index]))[k][1](walked[index])
-                label = f"{name} {what}: {before} -> {_header(stmt)}"
+                label = f"{scope[node]} {what}: {before} -> {_header(stmt)}"
                 assert label not in labels, f"two mutants labelled {label!r}"
                 labels.add(label)
                 yield label, ast.unparse(mutated)

@@ -280,7 +280,7 @@ class TestSolvableResidual:
 
     @staticmethod
     def residual(G):
-        return _solvable_residual(G.degree, G.generators)
+        return _solvable_residual(G)
 
     def test_trivial_on_solvable_groups(self):
         ident = {bytes(range(4))}

@@ -1,5 +1,6 @@
 """Verification sweeps and their supporting enumeration machinery."""
 
+import collections
 import functools
 import hashlib
 import itertools
@@ -19,9 +20,9 @@ from mnlab.partition import rgs_join, rgs_refines
 from mnlab.perm import _orbits, mulclose
 from mnlab.verify import _atom_systems, _mn_of, _orbit_firsts, _subgroup_key
 
-from oracles import (atom_systems, core, is_simple, maximal_descent_closure,
-                     orbits_bfs, rgs_meet, subgroups_bounded_gen,
-                     system_orbits)
+from oracles import (all_partitions, atom_systems, core, is_simple,
+                     maximal_descent_closure, orbits_bfs, rgs_meet,
+                     subgroups_bounded_gen, system_orbits)
 
 # check_theorem2(3, 6).to_dict() without timing_ms, as written before the
 # sweep Galois-checked one system per orbit
@@ -388,6 +389,29 @@ class TestTheorem2:
         top = [system for system, flag in want if flag]
         assert (len(want), len(top)) == (4850, 70)
         assert _atom_systems(5, 4) == (4850, top)
+
+    @pytest.mark.parametrize("size,total", [(4, 34), (5, 4850)])
+    def test_candidates_per_partition_depend_on_the_shape_only(self, size, total):
+        """The premise of counting by shape, on the combinations oracle: the
+        number of candidate systems holding a proper partition is the same
+        for every partition with the same block sizes, and the class size
+        times that number, summed over shapes, is 4 times the count."""
+        held = collections.Counter(r for system, _ in atom_systems(size, 4)
+                                   for r in system)
+        by_shape: dict[tuple, list[int]] = {}
+        for r in all_partitions(size):
+            if 1 < len(set(r)) < size:  # proper: neither top nor bottom
+                shape = tuple(sorted(collections.Counter(r).values()))
+                by_shape.setdefault(shape, []).append(held[r])
+        assert all(len(set(c)) == 1 for c in by_shape.values())
+        assert sum(len(c) * c[0] for c in by_shape.values()) == 4 * total
+
+    @pytest.mark.parametrize("size", [4, 5])
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_other_system_sizes_by_plain_combinations(self, size, k):
+        want = atom_systems(size, k)
+        assert _atom_systems(size, k) == (
+            len(want), [system for system, flag in want if flag])
 
     def test_closed_systems_are_the_regular_dihedral_congruences(self, symmetric_subgroups):
         """The 20 closed size-6 systems are exactly the atom sets of
