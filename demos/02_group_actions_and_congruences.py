@@ -31,9 +31,9 @@ print("Con(Z4 natural):", Lz.n, "congruences, chain:", Lz.is_chain())
 # least member of its K-coset.
 G = symmetric(3)
 H = next(K for K in all_subgroups(G) if K.order == 2)
-act, kernel = coset_action(G, H)
+act = coset_action(G, H)
 reps = sorted({min(g * h for h in H) for g in G})
-print("coset action on", len(reps), "points; kernel order", kernel.order)
+print("coset action on", len(reps), "points; kernel order", G.order // act.order)
 
 Lcon = all_congruences(gset_algebra(act))
 subs = interval(G, H)

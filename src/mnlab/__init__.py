@@ -3,20 +3,20 @@ verification of the minimal M_{p+1} congruence-lattice representation."""
 
 from .congruence import (UnaryAlgebra, all_congruences, congruences_oracle,
                          galois_is_closed, gset_algebra, preserving_maps)
-from .construct import (CosetAction, GroupSpec, alternating, catalog,
-                        coset_action, cyclic, dihedral, direct_product, klein,
-                        quaternion, regular_action, symmetric)
+from .construct import (GroupSpec, alternating, catalog, cyclic, dihedral,
+                        direct_product, klein, quaternion, regular_action,
+                        symmetric)
 from .lattice import FinLattice, NotALatticeError, chain
 from .partition import Partition, bell_number
-from .perm import (Perm, PermGroup, all_subgroups, group_closure, interval,
-                   is_dihedral, is_normal, quotient)
+from .perm import (Perm, PermGroup, all_subgroups, coset_action, group_closure,
+                   interval, is_dihedral, is_normal, quotient)
 from .verify import (VerificationReport, check_lemma, check_theorem1,
                      check_theorem2, minimal_representation)
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CosetAction", "FinLattice", "GroupSpec", "NotALatticeError", "Partition",
+    "FinLattice", "GroupSpec", "NotALatticeError", "Partition",
     "Perm", "PermGroup", "UnaryAlgebra", "VerificationReport",
     "all_congruences", "all_subgroups", "alternating", "bell_number",
     "catalog", "chain", "check_lemma", "check_theorem1", "check_theorem2",

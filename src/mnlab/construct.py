@@ -1,13 +1,13 @@
-"""Named group constructors, regular and coset actions, and the sweep catalog."""
+"""Named group constructors, regular actions, and the sweep catalog."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from .perm import (DEFAULT_ORDER_BOUND, MAX_DEGREE, Perm, PermGroup, _on_cosets,
-                   _require_subgroup, _small_genset, group_closure)
+from .perm import (DEFAULT_ORDER_BOUND, MAX_DEGREE, Perm, PermGroup, coset_action,
+                   group_closure)
 
 
 def cyclic(n: int) -> PermGroup:
@@ -86,35 +86,12 @@ def direct_product(G: PermGroup, H: PermGroup) -> PermGroup:
 
 
 def regular_action(G: PermGroup) -> PermGroup:
-    """G acting on itself by left translation, on the canonical element order:
-    the action on the cosets of the trivial subgroup.
-
-    Faithful and transitive with trivial point stabilizers, degree |G|.
-    """
+    """G acting on itself by left translation: the action on the cosets of the
+    trivial subgroup, so on the canonical element order.  Faithful and
+    transitive with trivial point stabilizers, degree |G|."""
     if G.order > DEFAULT_ORDER_BOUND:
         raise ValueError(f"group order {G.order} exceeds bound {DEFAULT_ORDER_BOUND}")
-    return group_closure(G.order, _on_cosets(G, PermGroup.trivial(G.degree),
-                                             G.generators))
-
-
-class CosetAction(NamedTuple):
-    action: PermGroup
-    kernel: PermGroup
-
-
-def coset_action(G: PermGroup, H: PermGroup) -> CosetAction:
-    """G's generators acting on the left cosets of H, plus the kernel.
-
-    The kernel is computed directly as {g : g fixes every coset}; it always
-    equals the core of H (the intersection of its conjugates), so the action
-    is faithful exactly when H is core-free.
-    """
-    _require_subgroup(G, H)
-    image = dict(zip(G.elements, _on_cosets(G, H, G.elements)))
-    action = group_closure(G.order // H.order, [image[g] for g in G.generators])
-    kernel_eset = {p for p, q in image.items() if q.is_identity()}
-    kernel = PermGroup(G.degree, _small_genset(G.degree, kernel_eset), kernel_eset)
-    return CosetAction(action, kernel)
+    return coset_action(G, PermGroup.trivial(G.degree))
 
 
 @dataclass(frozen=True)
@@ -135,6 +112,11 @@ class GroupSpec:
         # n is a natural degree, so this also keeps n! cheap to compute
         if self.n is not None and not 1 <= self.n <= MAX_DEGREE:
             raise ValueError(f"parameter {self.n} must lie in 1..{MAX_DEGREE}")
+        takes_n = self.kind in ("cyclic", "dihedral", "symmetric")
+        arity = 2 if self.kind == "direct_product" else 0
+        if (self.n is not None) != takes_n or len(self.factors) != arity:
+            raise ValueError(f"kind {self.kind!r} takes {'' if takes_n else 'no '}n"
+                             f" and {arity or 'no'} factors")
 
     def expected_order(self) -> int:
         if self.kind == "cyclic":

@@ -467,6 +467,15 @@ def _on_cosets(G: PermGroup, H: PermGroup, xs: Iterable[Perm]) -> list[Perm]:
     return [Perm([number[_compose(x, r)] for r in reps]) for x in xs]
 
 
+def coset_action(G: PermGroup, H: PermGroup) -> PermGroup:
+    """G acting on the left cosets of H (see _on_cosets), generated by the
+    images of G's generators.  The kernel is the core of H, the largest normal
+    subgroup of G inside H, so the order is [G:H] exactly when H is normal.
+    Raises ValueError if [G:H] > 256, the points a ``Perm`` can hold."""
+    _require_subgroup(G, H)
+    return group_closure(G.order // H.order, _on_cosets(G, H, G.generators))
+
+
 def is_normal(G: PermGroup, H: PermGroup) -> bool:
     """True iff gHg^-1 = H for every generator g of G."""
     _require_subgroup(G, H)
@@ -479,14 +488,11 @@ def is_normal(G: PermGroup, H: PermGroup) -> bool:
 
 
 def quotient(G: PermGroup, N: PermGroup) -> Optional[PermGroup]:
-    """G/N as the permutation group of G's generators acting on cosets of N;
-    None if N is not normal in G."""
-    if not is_normal(G, N):
-        return None
-    index = G.order // N.order
-    Q = group_closure(index, _on_cosets(G, N, G.generators))
-    assert Q.order == index
-    return Q
+    """G/N as G acting on the cosets of N (see coset_action); None if N is not
+    normal in G, which the action's order tells.  Raises ValueError if
+    [G:N] > 256, the points a ``Perm`` can hold, normal or not."""
+    Q = coset_action(G, N)
+    return Q if Q.order == G.order // N.order else None
 
 
 def is_dihedral(G: PermGroup) -> Optional[int]:

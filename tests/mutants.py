@@ -1,27 +1,29 @@
-"""Mutation sweep over the three sweeps in src/mnlab/verify.py.
+"""Mutation sweep over the sweeps in verify.py and the coset action in perm.py.
 
 Run by hand from the root of a checkout (pytest does not collect this file):
 
     python tests/mutants.py                  # every mutant, in a temp dir
     python tests/mutants.py --list           # print the mutants, run nothing
+    python tests/mutants.py --module src/mnlab/perm.py   # one module's only
     python tests/mutants.py --workdir DIR    # put the mutated copy in DIR
 
-Each mutant is one small edit of one function named in FUNCTIONS: a
-comparison flipped, ``and``/``or`` or ``&``/``|`` swapped, one term of a
-boolean dropped, a ``not`` dropped, or an integer constant 1 or 2 moved by
-one.  A mutant's label names the function (``outer.inner`` for one nested
+TARGETS holds (module, functions, tests) triples.  Each mutant is one small
+edit of one function named in a triple: a comparison flipped, ``and``/``or``
+or ``&``/``|`` swapped, one term of a boolean dropped, a ``not`` dropped, or
+an integer constant 1 or 2 moved by one.  A mutant's label names the function (``outer.inner`` for one nested
 in it), the edit, and the statement it edits before and after (its
 ``ast.unparse`` text, without the body of a compound statement), so no
 edit elsewhere renames it; labels are unique.
 The sweep copies ``src/``, ``tests/`` and ``pyproject.toml`` into a
-work directory, writes each mutant there in turn and runs the tests named in
-TESTS against it; the checkout itself is never written.  A mutant survives
+work directory, writes each mutant there in turn and runs the tests of its
+triple against it; the checkout itself is never written.  A mutant survives
 when every test passes.  Each child process gets a time limit and an
 address-space limit, since a mutant can loop or grow a list for ever; either
 limit counts as a kill.
 
 Survivors that cannot be killed are listed in EQUIVALENT with the reason.
-The exit status is 0 when every survivor is listed there, 1 otherwise.
+The exit status is 0 when every survivor is listed there, 1 otherwise, and
+2 when a triple names a function its module does not define.
 Uses the standard library only.
 """
 
@@ -40,15 +42,25 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULE = Path("src/mnlab/verify.py")
-FUNCTIONS = ("check_lemma", "check_theorem1", "_atom_systems",
-             "_orbit_firsts", "check_theorem2")
-TESTS = ("tests/test_verify.py::TestLemmaSweep",
-         "tests/test_verify.py::TestTheorem1",
-         "tests/test_verify.py::TestTheorem2",
-         "tests/test_partition.py::TestPartitionIndex",
-         "tests/test_cli.py",
-         "tests/test_acceptance.py")
+# (module, functions to mutate, tests that must kill the mutants)
+TARGETS = (
+    (Path("src/mnlab/verify.py"),
+     ("check_lemma", "check_theorem1", "_atom_systems", "_orbit_firsts",
+      "check_theorem2"),
+     ("tests/test_verify.py::TestLemmaSweep",
+      "tests/test_verify.py::TestTheorem1",
+      "tests/test_verify.py::TestTheorem2",
+      "tests/test_partition.py::TestPartitionIndex",
+      "tests/test_cli.py",
+      "tests/test_acceptance.py")),
+    (Path("src/mnlab/perm.py"),
+     ("coset_action", "_on_cosets", "quotient", "is_normal"),
+     ("tests/test_perm.py::TestCosets",
+      "tests/test_perm.py::TestNormalityAndCore",
+      "tests/test_perm.py::TestQuotient",
+      "tests/test_construct.py::TestCosetAction",
+      "tests/test_verify.py::TestLemmaSweep")),
+)
 MEMORY_BYTES = 2 << 30
 
 FLIP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
@@ -129,9 +141,9 @@ def _edits(node: ast.AST):
             yield f"{d:+d}", lambda n, d=d: setattr(n, "value", n.value + d)
 
 
-def _functions(tree: ast.Module) -> dict[str, ast.FunctionDef]:
+def _functions(tree: ast.Module, names) -> dict[str, ast.FunctionDef]:
     return {f.name: f for f in tree.body
-            if isinstance(f, ast.FunctionDef) and f.name in FUNCTIONS}
+            if isinstance(f, ast.FunctionDef) and f.name in names}
 
 
 def _header(stmt: ast.stmt) -> str:
@@ -143,15 +155,16 @@ def _header(stmt: ast.stmt) -> str:
     return ast.unparse(head)
 
 
-def mutants(source: str):
-    """(label, mutated module source) for every mutant of `source`.  The
+def mutants(source: str, names):
+    """(label, mutated module source) for every mutant of the functions
+    `names` of `source`.  The
     label is the innermost function holding the edited node (``outer.inner``
     for a nested one), the edit, and the innermost statement holding the
     node before and after it, so an edit elsewhere in the module does not
     rename a mutant."""
     tree = ast.parse(source)
     labels = set()
-    for name, func in _functions(tree).items():
+    for name, func in _functions(tree, names).items():
         nodes = list(ast.walk(func))
         owner = {}  # node -> walk index of its innermost statement
         scope = {}  # node -> dotted name of its innermost function
@@ -164,7 +177,7 @@ def mutants(source: str):
         for index, node in enumerate(nodes):
             for k, (what, _) in enumerate(_edits(node)):
                 mutated = ast.parse(source)
-                walked = list(ast.walk(_functions(mutated)[name]))
+                walked = list(ast.walk(_functions(mutated, names)[name]))
                 stmt = walked[owner[node]]
                 before = _header(stmt)
                 list(_edits(walked[index]))[k][1](walked[index])
@@ -178,14 +191,14 @@ def _limit_memory() -> None:
     resource.setrlimit(resource.RLIMIT_AS, (MEMORY_BYTES, MEMORY_BYTES))
 
 
-def run_tests(work: Path, timeout: float) -> str:
-    """'pass', 'fail' or 'timeout' for the tests in TESTS under `work`."""
+def run_tests(work: Path, tests, timeout: float) -> str:
+    """'pass', 'fail' or 'timeout' for `tests` under `work`."""
     env = dict(os.environ, PYTHONPATH=str(work / "src"),
                PYTHONDONTWRITEBYTECODE="1")
     try:
         proc = subprocess.run(
             [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
-             *TESTS], cwd=work, env=env, stdout=subprocess.DEVNULL,
+             *tests], cwd=work, env=env, stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL, timeout=timeout, preexec_fn=_limit_memory)
     except subprocess.TimeoutExpired:
         return "timeout"
@@ -198,36 +211,54 @@ def main() -> int:
                     help="directory for the mutated copy (default: a temp dir)")
     ap.add_argument("--list", action="store_true",
                     help="print the mutant labels and exit")
+    ap.add_argument("--module", type=Path,
+                    help="mutate only this module's triple, e.g. src/mnlab/perm.py")
     args = ap.parse_args()
-    source = (ROOT / MODULE).read_text()
-    found = list(mutants(source))
+    targets = [t for t in TARGETS if args.module in (None, t[0])]
+    if not targets:
+        print(f"no target module {args.module}", file=sys.stderr)
+        return 2
+    plans = []  # (module, source, tests, [(label, mutated source)])
+    for module, functions, tests in targets:
+        source = (ROOT / module).read_text()
+        missing = set(functions) - set(_functions(ast.parse(source), functions))
+        if missing:
+            print(f"{module} defines no function {', '.join(sorted(missing))}",
+                  file=sys.stderr)
+            return 2
+        plans.append((module, source, tests, list(mutants(source, functions))))
+    total = sum(len(found) for *_, found in plans)
     if args.list:
-        print("\n".join(label for label, _ in found))
+        print("\n".join(label for *_, found in plans for label, _ in found))
         return 0
 
+    survivors = []
     with tempfile.TemporaryDirectory(dir=args.workdir) as tmp:
         work = Path(tmp)
         for part in ("src", "tests"):
             shutil.copytree(ROOT / part, work / part)
         shutil.copy(ROOT / "pyproject.toml", work)
-        target = work / MODULE
-        # the unmutated round trip through ast.unparse must pass
-        target.write_text(ast.unparse(ast.parse(source)))
-        t0 = time.perf_counter()
-        if run_tests(work, timeout=600) != "pass":
-            print("the unmutated module fails its tests", file=sys.stderr)
-            return 2
-        timeout = 5 * (time.perf_counter() - t0) + 10
-        survivors = []
-        for n, (label, text) in enumerate(found, 1):
-            target.write_text(text)
-            outcome = run_tests(work, timeout)
-            print(f"[{n}/{len(found)}] {outcome:7} {label}", flush=True)
-            if outcome == "pass":
-                survivors.append(label)
+        n = 0
+        for module, source, tests, found in plans:
+            target = work / module
+            # the unmutated round trip through ast.unparse must pass
+            target.write_text(ast.unparse(ast.parse(source)))
+            t0 = time.perf_counter()
+            if run_tests(work, tests, timeout=600) != "pass":
+                print(f"the unmutated {module} fails its tests", file=sys.stderr)
+                return 2
+            timeout = 5 * (time.perf_counter() - t0) + 10
+            for label, text in found:
+                n += 1
+                target.write_text(text)
+                outcome = run_tests(work, tests, timeout)
+                print(f"[{n}/{total}] {outcome:7} {label}", flush=True)
+                if outcome == "pass":
+                    survivors.append(label)
+            target.write_text(source)  # the next module's tests see this one intact
 
     unlisted = [s for s in survivors if s not in EQUIVALENT]
-    print(f"\n{len(found)} mutants, {len(survivors)} survived,"
+    print(f"\n{total} mutants, {len(survivors)} survived,"
           f" {len(unlisted)} not listed as equivalent")
     for label in survivors:
         print(f"  {label}\n    {EQUIVALENT.get(label, 'NOT LISTED')}")

@@ -200,7 +200,7 @@ def test_criterion_8_property_suites():
             subs = all_subgroups(G)
             for H in subs:
                 iv = [K for K in subs if H <= K]
-                act, _ = coset_action(G, H)
+                act = coset_action(G, H)
                 reps = sorted({min(g * h for h in H) for g in G})
                 inv_reps = [_inverse(r) for r in reps]
                 congs = _congruence_set(act.degree, act.generators)

@@ -83,31 +83,32 @@ class TestCosetAction:
     def test_s3_mod_point_stabilizer_is_natural(self):
         G = symmetric(3)
         H = next(K for K in all_subgroups(G) if K.order == 2)
-        act, ker = coset_action(G, H)
+        act = coset_action(G, H)
         assert act.degree == 3 and act == G
-        assert ker.order == 1
 
     def test_s3_mod_a3(self):
         G = symmetric(3)
         A3 = next(K for K in all_subgroups(G) if K.order == 3)
-        act, ker = coset_action(G, A3)
+        act = coset_action(G, A3)
         assert act.degree == 2 and act.order == 2
-        assert ker == A3
 
     def test_trivial_subgroup_gives_regular_action(self):
         G = symmetric(3)
         triv = all_subgroups(G)[0]
-        act, ker = coset_action(G, triv)
-        assert act == regular_action(G)
-        assert ker.order == 1
+        assert coset_action(G, triv) == regular_action(G)
 
-    @pytest.mark.parametrize("G", [g for _, g in catalog(12)])
+    @pytest.mark.parametrize("G", [g for _, g in catalog(12)]
+                             + [symmetric(4), dihedral(6)])
     def test_kernel_equals_core(self, G):
+        """The kernel is the core of H, so the action has order |G|/|core|."""
         for H in all_subgroups(G):
-            act, ker = coset_action(G, H)
-            assert ker == core(G, H)
+            act = coset_action(G, H)
             assert act.degree == G.order // H.order
-            assert (ker.order == 1) == (act.order == G.order)
+            assert act.order == G.order // core(G, H).order
+
+    def test_rejects_non_subgroup(self):
+        with pytest.raises(ValueError, match="not a subgroup"):
+            coset_action(cyclic(4), dihedral(4))
 
 
 class TestCatalog:
@@ -171,6 +172,19 @@ class TestGroupSpec:
                               ("klein:9", "use kind:param")):
             with pytest.raises(ValueError, match=message):
                 GroupSpec.parse(text)
+
+    @pytest.mark.parametrize("args", [
+        ("cyclic",), ("dihedral",), ("symmetric",), ("klein", 3),
+        ("klein", None, (GroupSpec("klein"),)), ("direct_product",),
+        ("direct_product", None, (GroupSpec("klein"),)),
+        ("direct_product", 3, (GroupSpec("klein"), GroupSpec("klein"))),
+        ("cyclic", 3, (GroupSpec("klein"),)),
+    ])
+    def test_malformed_spec(self, args):
+        # n exactly for cyclic, dihedral and symmetric; two factors exactly
+        # for a product; neither for klein
+        with pytest.raises(ValueError, match=f"kind '{args[0]}' takes"):
+            GroupSpec(*args)
 
     @pytest.mark.parametrize("n", [-5, 0, 257])
     def test_parameter_outside_degree_bound(self, n):

@@ -405,11 +405,24 @@ class TestQuotient:
         H2 = next(H for H in all_subgroups(G) if H.order == 2)
         assert quotient(G, H2) is None
 
-    @pytest.mark.parametrize("G", [symmetric(4), dihedral(6)])
-    def test_quotient_order_is_index(self, G):
+    @pytest.mark.parametrize("G", [g for _, g in catalog(12)]
+                             + [symmetric(4), dihedral(6)])
+    def test_quotient_exists_iff_normal(self, G):
         for N in all_subgroups(G):
-            if is_normal(G, N):
-                assert quotient(G, N).order == G.order // N.order
+            assert (quotient(G, N) is not None) == (core(G, N) == N)
+
+    def test_rejects_non_subgroup(self):
+        with pytest.raises(ValueError, match="not a subgroup"):
+            quotient(cyclic(4), dihedral(4))
+
+    def test_index_past_256_is_refused(self):
+        """A non-normal subgroup of order 2 in S6 has index 360: its coset
+        action cannot be encoded, so it is refused, not reported non-normal."""
+        G = symmetric(6)
+        H = group_closure(6, [Perm.from_cycles(6, [(0, 1)])])
+        assert not is_normal(G, H)
+        with pytest.raises(ValueError, match="256"):
+            quotient(G, H)
 
 
 class TestPredicates:
