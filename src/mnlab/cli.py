@@ -18,7 +18,7 @@ from .congruence import ORACLE_SIZE_BOUND, all_congruences, congruences_oracle
 from .construct import GroupSpec, regular_action
 from .io import load_algebra, load_group, save_algebra, save_group
 from .lattice import FinLattice
-from .perm import DEFAULT_ORDER_BOUND, MAX_DEGREE, interval as subgroup_interval
+from .perm import DEFAULT_ORDER_BOUND, interval as subgroup_interval
 from .verify import (check_lemma, check_theorem1, check_theorem2,
                      minimal_representation)
 
@@ -34,36 +34,38 @@ def _emit(payload: dict, out: Optional[str]) -> None:
     print(text)
 
 
+# the flags each group kind and each sweep reads; each is required but
+# --max-order, whose default is 24
+READS = {"cyclic": ("n",), "symmetric": ("n",), "dihedral": ("m",), "klein": (),
+         "product": ("left", "right"), "lemma": ("max_order",),
+         "theorem1": ("p",), "theorem2": ("p", "max_size")}
+
+
+def _check_flags(args, choice: str, what: str) -> None:
+    """Refuse a flag of READS that `choice` does not read, and one that it
+    reads but was not given, save --max-order; `what` names the command."""
+    some_read = {flag for reads in READS.values() for flag in reads}
+    for flag in filter(some_read.__contains__, vars(args)):
+        given, read = getattr(args, flag) is not None, flag in READS[choice]
+        if given != read and (given or flag != "max_order"):
+            problem = "does not read" if given else "requires"
+            raise UsageError(f"{what} {problem} --{flag.replace('_', '-')}")
+
+
 def _cmd_group(args) -> int:
-    kind = args.kind  # action and kind are the parser's choices
-    unread = {"cyclic": ("m", "left", "right"), "symmetric": ("m", "left", "right"),
-              "dihedral": ("n", "left", "right"), "klein": ("n", "m", "left", "right"),
-              "product": ("n", "m")}[kind]
-    for flag in unread:
-        if getattr(args, flag) is not None:
-            raise UsageError(f"group make --kind {kind} does not read --{flag}")
-    if kind == "klein":
-        spec = GroupSpec("klein")
-    elif kind == "product":
-        if not (args.left and args.right):
-            raise UsageError("--kind product requires --left and --right")
-        factors = []
-        for flag in ("left", "right"):
+    _check_flags(args, args.kind, f"group make --kind {args.kind}")
+    factors = []
+    for flag, text in (("left", args.left), ("right", args.right)):
+        if text is not None:
             try:
-                factors.append(GroupSpec.parse(getattr(args, flag)))
+                factors.append(GroupSpec.parse(text))
             except ValueError as exc:
                 raise UsageError(f"--{flag}: {exc}") from None
-        spec = GroupSpec("direct_product", factors=tuple(factors))
-    else:
-        flag = "m" if kind == "dihedral" else "n"
-        if getattr(args, flag) is None:
-            raise UsageError(f"--kind {kind} requires --{flag}")
-        spec = GroupSpec(kind, getattr(args, flag))
+    kind = "direct_product" if args.kind == "product" else args.kind
+    spec = GroupSpec(kind, args.n if args.m is None else args.m, tuple(factors))
     order = spec.expected_order()
     if order > DEFAULT_ORDER_BOUND:
         raise UsageError(f"group order {order} exceeds bound {DEFAULT_ORDER_BOUND}")
-    if args.regular and order > MAX_DEGREE:
-        raise UsageError(f"regular action degree {order} exceeds bound {MAX_DEGREE}")
     G = spec.build()
     if args.regular:
         G = regular_action(G)
@@ -122,20 +124,12 @@ def _cmd_interval(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    unread = {"lemma": ("--p", "--max-size"), "theorem1": ("--max-size", "--max-order"),
-              "theorem2": ("--max-order",)}[args.what]
-    for flag in unread:
-        if getattr(args, flag[2:].replace("-", "_")) is not None:
-            raise UsageError(f"verify {args.what} does not read {flag}")
+    _check_flags(args, args.what, f"verify {args.what}")
     if args.what == "lemma":
         report = check_lemma(24 if args.max_order is None else args.max_order)
     elif args.what == "theorem1":
-        if args.p is None:
-            raise UsageError("verify theorem1 requires --p")
         report = check_theorem1(args.p)
-    elif args.what == "theorem2":
-        if args.p is None or args.max_size is None:
-            raise UsageError("verify theorem2 requires --p and --max-size")
+    else:
         report = check_theorem2(args.p, args.max_size)
     _emit(report.to_dict(), args.out)
     return 0 if report.passed else 1

@@ -24,8 +24,6 @@ def symmetric(n: int) -> PermGroup:
     """S_n in its natural action, generated by adjacent transpositions."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    if n == 1:
-        return PermGroup.trivial(1)
     gens = []
     for i in range(n - 1):
         img = list(range(n))
@@ -36,8 +34,8 @@ def symmetric(n: int) -> PermGroup:
 
 def alternating(n: int) -> PermGroup:
     """A_n in its natural action, generated by consecutive 3-cycles."""
-    if n < 3:
-        return PermGroup.trivial(max(n, 1))
+    if n < 1:
+        raise ValueError("n must be >= 1")
     gens = [Perm.from_cycles(n, [(i, i + 1, i + 2)]) for i in range(n - 2)]
     return group_closure(n, gens)
 
@@ -109,6 +107,10 @@ class GroupSpec:
         if self.kind not in ("cyclic", "dihedral", "symmetric", "klein",
                              "direct_product"):
             raise ValueError(f"unknown kind {self.kind!r}")
+        if self.n is not None and type(self.n) is not int:  # a bool is no degree
+            raise ValueError(f"n must be an int, got {self.n!r}")
+        if not all(isinstance(f, GroupSpec) for f in self.factors):
+            raise ValueError(f"factors must be GroupSpecs, got {self.factors!r}")
         # n is a natural degree, so this also keeps n! cheap to compute
         if self.n is not None and not 1 <= self.n <= MAX_DEGREE:
             raise ValueError(f"parameter {self.n} must lie in 1..{MAX_DEGREE}")
@@ -192,7 +194,7 @@ def catalog(max_order: int = 24) -> list[tuple[str, PermGroup]]:
         base.append((f"Z{n}", cyclic(n)))
     if max_order >= 4:
         base.append(("V4", klein()))
-    for m in range(2, max_order // 2 + 1):
+    for m in range(3, max_order // 2 + 1):  # D4 is V4
         base.append((f"D{2 * m}", dihedral(m)))
     if max_order >= 6:
         base.append(("S3", symmetric(3)))

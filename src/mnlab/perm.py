@@ -42,19 +42,25 @@ def _inverse(p: bytes) -> bytes:
     return bytes(inv)
 
 
-def _order_of(p: bytes) -> int:
-    n = len(p)
-    seen = [False] * n
-    out = 1
-    for i in range(n):
-        if not seen[i]:
-            j, length = i, 0
-            while not seen[j]:
+def _cycles(p: bytes) -> list[tuple[int, ...]]:
+    """The nontrivial cycles of p, each starting at its least point."""
+    seen = [False] * len(p)
+    out = []
+    for i in range(len(p)):
+        if not seen[i] and p[i] != i:
+            cyc = [i]
+            seen[i] = True
+            j = p[i]
+            while j != i:
+                cyc.append(j)
                 seen[j] = True
                 j = p[j]
-                length += 1
-            out = math.lcm(out, length)
+            out.append(tuple(cyc))
     return out
+
+
+def _order_of(p: bytes) -> int:
+    return math.lcm(*map(len, _cycles(p)))
 
 
 def mulclose(degree: int, gens: Iterable[bytes], *, seed: Iterable[bytes] = (),
@@ -142,19 +148,7 @@ class Perm(bytes):
 
     def cycles(self) -> list[tuple[int, ...]]:
         """Nontrivial cycles, each starting at its least point."""
-        seen = [False] * self.degree
-        out = []
-        for i in range(self.degree):
-            if not seen[i] and self[i] != i:
-                cyc = [i]
-                seen[i] = True
-                j = self[i]
-                while j != i:
-                    cyc.append(j)
-                    seen[j] = True
-                    j = self[j]
-                out.append(tuple(cyc))
-        return out
+        return _cycles(self)
 
     def __str__(self) -> str:
         cycs = self.cycles()

@@ -1,4 +1,6 @@
-"""Mutation sweep over the sweeps in verify.py and the coset action in perm.py.
+"""Mutation sweep over the sweeps in verify.py, the flag checks in cli.py, the
+constructors and catalog in construct.py, and the coset action and cycle walk
+in perm.py.
 
 Run by hand from the root of a checkout (pytest does not collect this file):
 
@@ -7,11 +9,13 @@ Run by hand from the root of a checkout (pytest does not collect this file):
     python tests/mutants.py --module src/mnlab/perm.py   # one module's only
     python tests/mutants.py --workdir DIR    # put the mutated copy in DIR
 
-TARGETS holds (module, functions, tests) triples.  Each mutant is one small
-edit of one function named in a triple: a comparison flipped, ``and``/``or``
-or ``&``/``|`` swapped, one term of a boolean dropped, a ``not`` dropped, or
-an integer constant 1 or 2 moved by one.  A mutant's label names the function (``outer.inner`` for one nested
-in it), the edit, and the statement it edits before and after (its
+TARGETS holds (module, functions, tests) triples; a method is named
+``Class.method``.  Each mutant is one small edit of one function named in a
+triple: a comparison flipped, ``and``/``or`` or ``&``/``|`` swapped, one term
+of a boolean dropped, a ``not`` dropped, the two operands of ``//``, ``%`` or
+``-`` swapped, or an integer constant 1 or 2 moved by one.  A mutant's label
+names the function (``outer.inner`` for one nested in it), the edit, and the
+statement it edits before and after (its
 ``ast.unparse`` text, without the body of a compound statement), so no
 edit elsewhere renames it; labels are unique.
 The sweep copies ``src/``, ``tests/`` and ``pyproject.toml`` into a
@@ -53,9 +57,18 @@ TARGETS = (
       "tests/test_partition.py::TestPartitionIndex",
       "tests/test_cli.py",
       "tests/test_acceptance.py")),
+    (Path("src/mnlab/cli.py"),
+     ("_check_flags", "_cmd_group", "_cmd_verify"),
+     ("tests/test_cli.py",)),
+    (Path("src/mnlab/construct.py"),
+     ("catalog", "symmetric", "alternating", "GroupSpec.__post_init__"),
+     ("tests/test_construct.py",)),
     (Path("src/mnlab/perm.py"),
-     ("coset_action", "_on_cosets", "quotient", "is_normal"),
-     ("tests/test_perm.py::TestCosets",
+     ("coset_action", "_on_cosets", "quotient", "is_normal", "_order_of",
+      "_cycles"),
+     ("tests/test_perm.py::TestPerm",
+      "tests/test_perm.py::TestPredicates",
+      "tests/test_perm.py::TestCosets",
       "tests/test_perm.py::TestNormalityAndCore",
       "tests/test_perm.py::TestQuotient",
       "tests/test_construct.py::TestCosetAction",
@@ -68,6 +81,7 @@ FLIP = {ast.Lt: ast.LtE, ast.LtE: ast.Lt, ast.Gt: ast.GtE, ast.GtE: ast.Gt,
         ast.IsNot: ast.Is, ast.In: ast.NotIn, ast.NotIn: ast.In}
 SWAP = {ast.And: ast.Or, ast.Or: ast.And, ast.BitAnd: ast.BitOr,
         ast.BitOr: ast.BitAnd}
+NOT_COMMUTING = (ast.FloorDiv, ast.Mod, ast.Sub)
 
 # The lemma counts the intermediates K of index 2 over H.  Each normalizes
 # H, so they are the subgroups of order 2 of N_G(H)/H, less G/H itself, and
@@ -110,6 +124,10 @@ EQUIVALENT = {
         " interval is the subgroup lattice of D_2m, whose m reflection"
         " subgroups (all three subgroups of order 2 when m = 2) have index 2"
         " over H: two_index2 follows",
+    "catalog op 0 flipped: if max_order >= 6: -> if max_order > 6:":
+        "at max_order 6 regular S3 is regular D6, already in the catalog, and"
+        " a product with S3 has order at least 12, so S3 in the base changes"
+        " nothing at 6",
     "_atom_systems -1: proper = range(1, ix.bottom) -> proper ="
     " range(0, ix.bottom)":
         "`proper` then takes in the top (id 0), whose pair relation meets every"
@@ -129,6 +147,8 @@ def _edits(node: ast.AST):
                        lambda n, k=k: n.ops.__setitem__(k, FLIP[type(n.ops[k])]()))
     if type(getattr(node, "op", None)) in SWAP:  # BoolOp, BinOp, AugAssign
         yield "op swapped", lambda n: setattr(n, "op", SWAP[type(n.op)]())
+    if isinstance(node, ast.BinOp) and type(node.op) in NOT_COMMUTING:
+        yield "operands swapped", _swap_operands
     if isinstance(node, ast.BoolOp):
         for k in range(len(node.values)):
             yield f"term {k} dropped", lambda n, k=k: n.values.pop(k)
@@ -141,9 +161,21 @@ def _edits(node: ast.AST):
             yield f"{d:+d}", lambda n, d=d: setattr(n, "value", n.value + d)
 
 
+def _swap_operands(node: ast.BinOp) -> None:
+    node.left, node.right = node.right, node.left
+
+
 def _functions(tree: ast.Module, names) -> dict[str, ast.FunctionDef]:
-    return {f.name: f for f in tree.body
-            if isinstance(f, ast.FunctionDef) and f.name in names}
+    """The module-level functions and the methods (``Class.method``) of
+    `tree` that `names` names."""
+    found = {}
+    for node in tree.body:
+        if isinstance(node, ast.FunctionDef):
+            found[node.name] = node
+        elif isinstance(node, ast.ClassDef):
+            found.update((f"{node.name}.{f.name}", f) for f in node.body
+                         if isinstance(f, ast.FunctionDef))
+    return {name: f for name, f in found.items() if name in names}
 
 
 def _header(stmt: ast.stmt) -> str:

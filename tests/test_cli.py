@@ -38,6 +38,23 @@ class TestGroupMake:
         assert rc == 0
         assert json.loads(stdout)["degree"] == 6
 
+    def test_summary_line(self, tmp_path, capsys):
+        out = tmp_path / "g.json"
+        for argv, name, written in ((["--regular"], "D6-regular", None),
+                                    (["--name", "mine", "--out", str(out)],
+                                     "mine", str(out))):
+            rc, stdout, _ = run(["group", "make", "--kind", "dihedral", "--m", "3",
+                                 *argv], capsys)
+            assert rc == 0
+            assert json.loads(stdout) == {"format": 1, "name": name,
+                                          "degree": 6 if written is None else 3,
+                                          "order": 6, "written": written}
+
+    def test_order_bound_admits_5040(self, capsys):
+        rc, stdout, _ = run(["group", "make", "--kind", "symmetric", "--n", "7"],
+                            capsys)
+        assert rc == 0 and json.loads(stdout)["order"] == 5040
+
     def test_product(self, capsys):
         rc, stdout, _ = run(["group", "make", "--kind", "product",
                              "--left", "cyclic:2", "--right", "cyclic:3"], capsys)
@@ -297,6 +314,12 @@ class TestVerify:
                           "--max-size", "4"], capsys)
         assert rc == 2 and "p = 3" in err
 
+    def test_timing_is_not_negative(self, capsys):
+        for argv in (["lemma", "--max-order", "6"], ["theorem1", "--p", "2"],
+                     ["theorem2", "--p", "3", "--max-size", "4"]):
+            rc, stdout, _ = run(["verify", *argv], capsys)
+            assert rc == 0 and json.loads(stdout)["timing_ms"] >= 0, argv
+
     def test_identical_argv_identical_report_modulo_timing(self, tmp_path, capsys):
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
         run(["verify", "lemma", "--max-order", "8", "--out", str(r1)], capsys)
@@ -304,6 +327,52 @@ class TestVerify:
         d1, d2 = json.loads(r1.read_text()), json.loads(r2.read_text())
         d1.pop("timing_ms"), d2.pop("timing_ms")
         assert d1 == d2
+
+
+# each group kind and each sweep, with a flag it does not read added or a
+# flag it requires left out; --max-order is optional, so lemma requires none
+GROUP = ["group", "make", "--kind"]
+FLAG_CASES = [
+    (GROUP + ["cyclic", "--n", "3", "--m", "3"], "--m"),
+    (GROUP + ["cyclic", "--n", "3", "--left", "cyclic:2"], "--left"),
+    (GROUP + ["cyclic", "--n", "3", "--right", "cyclic:2"], "--right"),
+    (GROUP + ["cyclic"], "--n"),
+    (GROUP + ["symmetric", "--n", "3", "--m", "3"], "--m"),
+    (GROUP + ["symmetric", "--n", "3", "--left", "cyclic:2"], "--left"),
+    (GROUP + ["symmetric", "--n", "3", "--right", "cyclic:2"], "--right"),
+    (GROUP + ["symmetric"], "--n"),
+    (GROUP + ["dihedral", "--m", "3", "--n", "3"], "--n"),
+    (GROUP + ["dihedral", "--m", "3", "--left", "cyclic:2"], "--left"),
+    (GROUP + ["dihedral", "--m", "3", "--right", "cyclic:2"], "--right"),
+    (GROUP + ["dihedral"], "--m"),
+    (GROUP + ["klein", "--n", "3"], "--n"),
+    (GROUP + ["klein", "--m", "3"], "--m"),
+    (GROUP + ["klein", "--left", "cyclic:2"], "--left"),
+    (GROUP + ["klein", "--right", "cyclic:2"], "--right"),
+    (GROUP + ["product", "--left", "cyclic:2", "--right", "cyclic:3", "--n", "3"],
+     "--n"),
+    (GROUP + ["product", "--left", "cyclic:2", "--right", "cyclic:3", "--m", "3"],
+     "--m"),
+    (GROUP + ["product", "--right", "cyclic:3"], "--left"),
+    (GROUP + ["product", "--left", "cyclic:2"], "--right"),
+    (["verify", "lemma", "--p", "3"], "--p"),
+    (["verify", "lemma", "--max-size", "4"], "--max-size"),
+    (["verify", "theorem1", "--p", "3", "--max-size", "4"], "--max-size"),
+    (["verify", "theorem1", "--p", "3", "--max-order", "24"], "--max-order"),
+    (["verify", "theorem1"], "--p"),
+    (["verify", "theorem2", "--p", "3", "--max-size", "4", "--max-order", "24"],
+     "--max-order"),
+    (["verify", "theorem2", "--max-size", "4"], "--p"),
+    (["verify", "theorem2", "--p", "3"], "--max-size"),
+]
+
+
+@pytest.mark.parametrize("argv,flag", FLAG_CASES,
+                         ids=[" ".join(argv) for argv, _ in FLAG_CASES])
+def test_flag_not_read_or_left_out_is_usage_error(argv, flag, capsys):
+    rc, stdout, err = run(argv, capsys)
+    assert rc == 2 and stdout == ""
+    assert err.startswith("mnlab: error: ") and flag in err.split()
 
 
 class TestEntryPoint:

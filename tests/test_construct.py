@@ -5,9 +5,11 @@ import pytest
 from mnlab import (GroupSpec, all_subgroups, alternating, catalog,
                    coset_action, cyclic, dihedral, direct_product, is_dihedral,
                    klein, quaternion, regular_action, symmetric)
+from mnlab import construct
 from mnlab.perm import PermGroup
 
 from oracles import core
+from records_digest import recorded
 
 
 def fixes_no_point(R: PermGroup) -> bool:
@@ -42,6 +44,18 @@ class TestConstructors:
         assert symmetric(4).order == 24
         assert alternating(4).order == 12
         assert alternating(4) <= symmetric(4)
+
+    @pytest.mark.parametrize("make", [cyclic, symmetric, alternating])
+    @pytest.mark.parametrize("n", [0, -5])
+    def test_rejects_n_below_1(self, make, n):
+        with pytest.raises(ValueError, match="n must be >= 1"):
+            make(n)
+
+    @pytest.mark.parametrize("G,degree", [(symmetric(1), 1), (alternating(1), 1),
+                                          (alternating(2), 2)])
+    def test_trivial_cases_have_no_generators(self, G, degree):
+        assert G == PermGroup.trivial(degree)
+        assert G.degree == degree and G.generators == ()
 
     def test_quaternion(self):
         Q = quaternion()
@@ -143,6 +157,22 @@ class TestCatalog:
         with pytest.raises(ValueError, match="exceeds bound"):
             catalog(49)
 
+    @pytest.mark.parametrize("name,order", [("V4", 4), ("A4", 12), ("S4", 24)])
+    def test_base_member_from_its_own_order(self, name, order):
+        assert name in [n for n, _ in catalog(order)]
+
+    def test_catalog_48_builds_each_klein_group_once(self, monkeypatch):
+        # D4 = dihedral(2) is V4 itself, so neither it nor its 20 products
+        # are built only to be dropped; the names are those recorded
+        calls = []
+        real = construct.regular_action
+        monkeypatch.setattr(construct, "regular_action",
+                            lambda G: calls.append(G) or real(G))
+        names = [name for name, _ in catalog(48)]
+        assert len(calls) == 197
+        assert names == [n.split(":", 1)[1] for n in recorded()
+                         if n.startswith("catalog48:")]
+
 
 class TestGroupSpec:
     @pytest.mark.parametrize("spec,order", [
@@ -152,6 +182,8 @@ class TestGroupSpec:
         (GroupSpec("klein"), 4),
         (GroupSpec("direct_product",
                    factors=(GroupSpec("cyclic", 3), GroupSpec("klein"))), 12),
+        (GroupSpec("cyclic", 1), 1),  # n lies in 1..256, both ends included
+        (GroupSpec("cyclic", 256), 256),
     ])
     def test_build_matches_expected_order(self, spec, order):
         assert spec.expected_order() == order
@@ -179,12 +211,27 @@ class TestGroupSpec:
         ("direct_product", None, (GroupSpec("klein"),)),
         ("direct_product", 3, (GroupSpec("klein"), GroupSpec("klein"))),
         ("cyclic", 3, (GroupSpec("klein"),)),
+        ("cyclic", True), ("cyclic", 3.0),
+        ("direct_product", None, ("klein", "klein")),
     ])
     def test_malformed_spec(self, args):
         # n exactly for cyclic, dihedral and symmetric; two factors exactly
-        # for a product; neither for klein
-        with pytest.raises(ValueError, match=f"kind '{args[0]}' takes"):
+        # for a product; neither for klein.  n is an int, not a bool or a
+        # float, and a factor is a GroupSpec, not its name; the error names
+        # the field
+        with pytest.raises(ValueError, match=f"^(kind '{args[0]}' takes|n must"
+                                             " be an int|factors must be GroupSpecs)"):
             GroupSpec(*args)
+
+    @pytest.mark.parametrize("args,message", [
+        (("klein", 3), "kind 'klein' takes no n and no factors"),
+        (("direct_product",), "kind 'direct_product' takes no n and 2 factors"),
+        (("cyclic", 3, (GroupSpec("klein"),)), "kind 'cyclic' takes n and no factors"),
+    ])
+    def test_malformed_spec_message(self, args, message):
+        with pytest.raises(ValueError) as info:
+            GroupSpec(*args)
+        assert str(info.value) == message
 
     @pytest.mark.parametrize("n", [-5, 0, 257])
     def test_parameter_outside_degree_bound(self, n):

@@ -67,6 +67,14 @@ class TestPerm:
         assert str(p) == "(0 1 2)(3 4)"
         assert str(Perm.identity(3)) == "e"
 
+    @pytest.mark.parametrize("G", [symmetric(5), alternating(6)])
+    def test_order_is_least_power_to_identity(self, G):
+        for p in G:
+            k, q = 1, p
+            while not q.is_identity():
+                k, q = k + 1, q * p
+            assert p.order() == k, p
+
 
 class TestPermIsBytes:
     """A permutation is its image bytes."""
