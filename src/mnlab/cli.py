@@ -10,15 +10,18 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
+from functools import partial, reduce
 from pathlib import Path
 from typing import Optional, Sequence
 
 from .congruence import ORACLE_SIZE_BOUND, all_congruences, congruences_oracle
-from .construct import GroupSpec, regular_action
+from .construct import (cyclic, dihedral, direct_product, klein, regular_action,
+                        symmetric)
 from .io import load_algebra, load_group, save_algebra, save_group
 from .lattice import FinLattice
-from .perm import DEFAULT_ORDER_BOUND, interval as subgroup_interval
+from .perm import DEFAULT_ORDER_BOUND, MAX_DEGREE, interval as subgroup_interval
 from .verify import (check_lemma, check_theorem1, check_theorem2,
                      minimal_representation)
 
@@ -52,24 +55,54 @@ def _check_flags(args, choice: str, what: str) -> None:
             raise UsageError(f"{what} {problem} --{flag.replace('_', '-')}")
 
 
+# each group kind but product, as a function of the one flag it reads: its
+# constructor, order and name
+KINDS = {"cyclic": lambda n: (partial(cyclic, n), n, f"Z{n}"),
+         "dihedral": lambda m: (partial(dihedral, m), 2 * m, f"D{2 * m}"),
+         "symmetric": lambda n: (partial(symmetric, n), math.factorial(n), f"S{n}"),
+         "klein": lambda: (klein, 4, "V4")}
+
+
+def _parameter(n: int) -> int:
+    # n is a natural degree, so this also keeps n! cheap to compute
+    if not 1 <= n <= MAX_DEGREE:
+        raise ValueError(f"parameter {n} must lie in 1..{MAX_DEGREE}")
+    return n
+
+
+def _factor(flag: str, text: str) -> tuple:
+    """The constructor, order and name of a product factor written
+    kind:param, e.g. "cyclic:3", or a kind that reads no flag, "klein";
+    `flag` names the flag it was given to."""
+    kind, _, param = text.partition(":")
+    if kind in KINDS and READS[kind]:
+        try:
+            n = _parameter(int(param))
+        except ValueError:
+            raise UsageError(f"--{flag}: bad factor parameter in {text!r}") from None
+        return KINDS[kind](n)
+    if text in KINDS:
+        return KINDS[text]()
+    raise UsageError(f"--{flag}: bad factor {text!r}; use kind:param, e.g."
+                     " cyclic:3, or klein")
+
+
 def _cmd_group(args) -> int:
     _check_flags(args, args.kind, f"group make --kind {args.kind}")
-    factors = []
-    for flag, text in (("left", args.left), ("right", args.right)):
-        if text is not None:
-            try:
-                factors.append(GroupSpec.parse(text))
-            except ValueError as exc:
-                raise UsageError(f"--{flag}: {exc}") from None
-    kind = "direct_product" if args.kind == "product" else args.kind
-    spec = GroupSpec(kind, args.n if args.m is None else args.m, tuple(factors))
-    order = spec.expected_order()
+    if args.kind == "product":
+        factors = [_factor(flag, getattr(args, flag)) for flag in READS["product"]]
+    else:
+        factors = [KINDS[args.kind](*(_parameter(getattr(args, flag))
+                                      for flag in READS[args.kind]))]
+    makers, orders, names = zip(*factors)
+    order = math.prod(orders)
     if order > DEFAULT_ORDER_BOUND:
         raise UsageError(f"group order {order} exceeds bound {DEFAULT_ORDER_BOUND}")
-    G = spec.build()
+    G = reduce(direct_product, [make() for make in makers])
+    assert G.order == order
     if args.regular:
         G = regular_action(G)
-    name = args.name or spec.name() + ("-regular" if args.regular else "")
+    name = args.name or "x".join(names) + ("-regular" if args.regular else "")
     if args.out:
         save_group(G, args.out, name)
     print(json.dumps({"format": 1, "name": name, "degree": G.degree,
@@ -153,8 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("group", help="construct groups and write group files")
     g.add_argument("action", choices=["make"])
-    g.add_argument("--kind", required=True,
-                   choices=["cyclic", "dihedral", "symmetric", "klein", "product"])
+    g.add_argument("--kind", required=True, choices=[*KINDS, "product"])
     g.add_argument("--n", type=int)
     g.add_argument("--m", type=int)
     g.add_argument("--left", help="product factor, e.g. cyclic:3")

@@ -2,12 +2,7 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Optional
-
-from .perm import (DEFAULT_ORDER_BOUND, MAX_DEGREE, Perm, PermGroup, coset_action,
-                   group_closure)
+from .perm import DEFAULT_ORDER_BOUND, Perm, PermGroup, coset_action, group_closure
 
 
 def cyclic(n: int) -> PermGroup:
@@ -90,89 +85,6 @@ def regular_action(G: PermGroup) -> PermGroup:
     if G.order > DEFAULT_ORDER_BOUND:
         raise ValueError(f"group order {G.order} exceeds bound {DEFAULT_ORDER_BOUND}")
     return coset_action(G, PermGroup.trivial(G.degree))
-
-
-@dataclass(frozen=True)
-class GroupSpec:
-    """Constructor recipe: kind plus parameters.
-
-    kinds: "cyclic" (n), "dihedral" (m), "symmetric" (n), "klein",
-    "direct_product" (two factor specs).
-    """
-    kind: str
-    n: Optional[int] = None
-    factors: tuple["GroupSpec", ...] = field(default=())
-
-    def __post_init__(self):
-        if self.kind not in ("cyclic", "dihedral", "symmetric", "klein",
-                             "direct_product"):
-            raise ValueError(f"unknown kind {self.kind!r}")
-        if self.n is not None and type(self.n) is not int:  # a bool is no degree
-            raise ValueError(f"n must be an int, got {self.n!r}")
-        if not all(isinstance(f, GroupSpec) for f in self.factors):
-            raise ValueError(f"factors must be GroupSpecs, got {self.factors!r}")
-        # n is a natural degree, so this also keeps n! cheap to compute
-        if self.n is not None and not 1 <= self.n <= MAX_DEGREE:
-            raise ValueError(f"parameter {self.n} must lie in 1..{MAX_DEGREE}")
-        takes_n = self.kind in ("cyclic", "dihedral", "symmetric")
-        arity = 2 if self.kind == "direct_product" else 0
-        if (self.n is not None) != takes_n or len(self.factors) != arity:
-            raise ValueError(f"kind {self.kind!r} takes {'' if takes_n else 'no '}n"
-                             f" and {arity or 'no'} factors")
-
-    def expected_order(self) -> int:
-        if self.kind == "cyclic":
-            return self.n
-        if self.kind == "dihedral":
-            return 2 * self.n
-        if self.kind == "symmetric":
-            return math.factorial(self.n)
-        if self.kind == "klein":
-            return 4
-        a, b = self.factors
-        return a.expected_order() * b.expected_order()
-
-    @classmethod
-    def parse(cls, text: str) -> "GroupSpec":
-        """A product factor written kind:param, e.g. "cyclic:3", or "klein"."""
-        if text == "klein":
-            return cls("klein")
-        kind, _, param = text.partition(":")
-        if kind in ("cyclic", "dihedral", "symmetric"):
-            try:
-                return cls(kind, int(param))
-            except ValueError:
-                raise ValueError(f"bad factor parameter in {text!r}") from None
-        raise ValueError(f"bad factor {text!r}; use kind:param, e.g. cyclic:3,"
-                         " or klein")
-
-    def name(self) -> str:
-        """Short name, e.g. "D6" or "Z2xS3"."""
-        if self.kind == "cyclic":
-            return f"Z{self.n}"
-        if self.kind == "dihedral":
-            return f"D{2 * self.n}"
-        if self.kind == "symmetric":
-            return f"S{self.n}"
-        if self.kind == "klein":
-            return "V4"
-        a, b = self.factors
-        return f"{a.name()}x{b.name()}"
-
-    def build(self) -> PermGroup:
-        if self.kind == "cyclic":
-            G = cyclic(self.n)
-        elif self.kind == "dihedral":
-            G = dihedral(self.n)
-        elif self.kind == "symmetric":
-            G = symmetric(self.n)
-        elif self.kind == "klein":
-            G = klein()
-        else:
-            a, b = self.factors
-            G = direct_product(a.build(), b.build())
-        assert G.order == self.expected_order()
-        return G
 
 
 CATALOG_ORDER_BOUND = 48

@@ -1,6 +1,6 @@
-"""Mutation sweep over the sweeps in verify.py, the flag checks in cli.py, the
-constructors and catalog in construct.py, and the coset action and cycle walk
-in perm.py.
+"""Mutation sweep over the sweeps in verify.py, the flag and factor checks in
+cli.py, the constructors and catalog in construct.py, the lattice check and
+M_n detector in lattice.py, and the coset action and cycle walk in perm.py.
 
 Run by hand from the root of a checkout (pytest does not collect this file):
 
@@ -58,11 +58,14 @@ TARGETS = (
       "tests/test_cli.py",
       "tests/test_acceptance.py")),
     (Path("src/mnlab/cli.py"),
-     ("_check_flags", "_cmd_group", "_cmd_verify"),
+     ("_check_flags", "_parameter", "_factor", "_cmd_group", "_cmd_verify"),
      ("tests/test_cli.py",)),
     (Path("src/mnlab/construct.py"),
-     ("catalog", "symmetric", "alternating", "GroupSpec.__post_init__"),
+     ("catalog", "symmetric", "alternating"),
      ("tests/test_construct.py",)),
+    (Path("src/mnlab/lattice.py"),
+     ("_mn_of", "FinLattice._validate", "FinLattice.from_inclusion"),
+     ("tests/test_lattice.py",)),
     (Path("src/mnlab/perm.py"),
      ("coset_action", "_on_cosets", "quotient", "is_normal", "_order_of",
       "_cycles"),

@@ -375,6 +375,87 @@ def test_flag_not_read_or_left_out_is_usage_error(argv, flag, capsys):
     assert err.startswith("mnlab: error: ") and flag in err.split()
 
 
+# each kind, and products of each kind; n and m lie in 1..256, both ends
+# included; the summary line carries the built group's order and degree
+ORDER_CASES = [
+    (["cyclic", "--n", "6"], "Z6", 6, 6),
+    (["dihedral", "--m", "4"], "D8", 8, 4),
+    (["symmetric", "--n", "4"], "S4", 24, 4),
+    (["klein"], "V4", 4, 4),
+    (["cyclic", "--n", "1"], "Z1", 1, 1),
+    (["cyclic", "--n", "256"], "Z256", 256, 256),
+    (["product", "--left", "cyclic:3", "--right", "klein"], "Z3xV4", 12, 7),
+    (["product", "--left", "klein", "--right", "klein"], "V4xV4", 16, 8),
+    (["product", "--left", "symmetric:4", "--right", "dihedral:5"], "S4xD10",
+     240, 9),
+    (["product", "--left", "dihedral:3", "--right", "klein"], "D6xV4", 24, 7),
+]
+
+
+@pytest.mark.parametrize("argv,name,order,degree", ORDER_CASES,
+                         ids=[" ".join(argv) for argv, *_ in ORDER_CASES])
+def test_group_make_order_and_name(argv, name, order, degree, tmp_path, capsys):
+    out = tmp_path / "g.json"
+    rc, stdout, err = run(GROUP + argv + ["--out", str(out)], capsys)
+    assert rc == 0 and err == ""
+    assert json.loads(stdout) == {"format": 1, "name": name, "degree": degree,
+                                  "order": order, "written": str(out)}
+    data = json.loads(out.read_text())
+    assert data["name"] == name and data["degree"] == degree
+
+
+# checked before n! is computed: past the bound, --n 1000000 would otherwise
+# read as a group order over 5040
+BOUND_CASES = [
+    (["symmetric", "--n", "-5"], "parameter -5 must lie in 1..256"),
+    (["symmetric", "--n", "0"], "parameter 0 must lie in 1..256"),
+    (["symmetric", "--n", "257"], "parameter 257 must lie in 1..256"),
+    (["symmetric", "--n", "1000000"], "parameter 1000000 must lie in 1..256"),
+    (["dihedral", "--m", "0"], "parameter 0 must lie in 1..256"),
+    (["product", "--left", "cyclic:2", "--right", "cyclic:-2"],
+     "--right: bad factor parameter in 'cyclic:-2'"),
+    (["product", "--left", "symmetric:257", "--right", "klein"],
+     "--left: bad factor parameter in 'symmetric:257'"),
+]
+
+
+@pytest.mark.parametrize("argv,message", BOUND_CASES,
+                         ids=[" ".join(argv) for argv, _ in BOUND_CASES])
+def test_group_make_parameter_outside_1_to_256(argv, message, capsys):
+    rc, stdout, err = run(GROUP + argv, capsys)
+    assert rc == 2 and stdout == ""
+    assert err == f"mnlab: error: {message}\n"
+
+
+FACTOR_CASES = [
+    ("cyclic", "bad factor parameter in 'cyclic'"),
+    ("cyclic:", "bad factor parameter in 'cyclic:'"),
+    ("cyclic:x", "bad factor parameter in 'cyclic:x'"),
+    ("cyclic:300", "bad factor parameter in 'cyclic:300'"),
+    ("bogus:3", "bad factor 'bogus:3'; use kind:param, e.g. cyclic:3, or klein"),
+    ("klein:9", "bad factor 'klein:9'; use kind:param, e.g. cyclic:3, or klein"),
+]
+
+
+@pytest.mark.parametrize("flag", ["left", "right"])
+@pytest.mark.parametrize("text,message", FACTOR_CASES,
+                         ids=[text for text, _ in FACTOR_CASES])
+def test_bad_factor_message(text, message, flag, capsys):
+    factors = {"left": "cyclic:2", "right": "cyclic:2", flag: text}
+    rc, stdout, err = run(GROUP + ["product", "--left", factors["left"],
+                                   "--right", factors["right"]], capsys)
+    assert rc == 2 and stdout == ""
+    assert err == f"mnlab: error: --{flag}: {message}\n"
+
+
+def test_unknown_kind_is_usage_error(capsys):
+    rc, stdout, err = run(GROUP + ["frobnicate"], capsys)
+    assert rc == 2 and stdout == ""
+    assert "invalid choice" in err and "frobnicate" in err
+    for kind in ("cyclic", "dihedral", "symmetric", "klein", "product"):
+        assert kind in err
+
+
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
         proc = subprocess.run(

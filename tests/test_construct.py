@@ -2,9 +2,9 @@
 
 import pytest
 
-from mnlab import (GroupSpec, all_subgroups, alternating, catalog,
-                   coset_action, cyclic, dihedral, direct_product, is_dihedral,
-                   klein, quaternion, regular_action, symmetric)
+from mnlab import (all_subgroups, alternating, catalog, coset_action, cyclic,
+                   dihedral, direct_product, is_dihedral, klein, quaternion,
+                   regular_action, symmetric)
 from mnlab import construct
 from mnlab.perm import PermGroup
 
@@ -173,68 +173,3 @@ class TestCatalog:
         assert names == [n.split(":", 1)[1] for n in recorded()
                          if n.startswith("catalog48:")]
 
-
-class TestGroupSpec:
-    @pytest.mark.parametrize("spec,order", [
-        (GroupSpec("cyclic", 6), 6),
-        (GroupSpec("dihedral", 4), 8),
-        (GroupSpec("symmetric", 4), 24),
-        (GroupSpec("klein"), 4),
-        (GroupSpec("direct_product",
-                   factors=(GroupSpec("cyclic", 3), GroupSpec("klein"))), 12),
-        (GroupSpec("cyclic", 1), 1),  # n lies in 1..256, both ends included
-        (GroupSpec("cyclic", 256), 256),
-    ])
-    def test_build_matches_expected_order(self, spec, order):
-        assert spec.expected_order() == order
-        assert spec.build().order == order
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError, match="unknown kind"):
-            GroupSpec("frobnicate").build()
-
-    def test_parse_and_name(self):
-        spec = GroupSpec("direct_product", factors=(GroupSpec.parse("dihedral:3"),
-                                                    GroupSpec.parse("klein")))
-        assert spec.name() == "D6xV4" and spec.expected_order() == 24
-        assert GroupSpec.parse("symmetric:4") == GroupSpec("symmetric", 4)
-        for text, message in (("cyclic:x", "bad factor parameter"),
-                              ("cyclic:300", "bad factor parameter"),
-                              ("bogus:3", "use kind:param"),
-                              ("klein:9", "use kind:param")):
-            with pytest.raises(ValueError, match=message):
-                GroupSpec.parse(text)
-
-    @pytest.mark.parametrize("args", [
-        ("cyclic",), ("dihedral",), ("symmetric",), ("klein", 3),
-        ("klein", None, (GroupSpec("klein"),)), ("direct_product",),
-        ("direct_product", None, (GroupSpec("klein"),)),
-        ("direct_product", 3, (GroupSpec("klein"), GroupSpec("klein"))),
-        ("cyclic", 3, (GroupSpec("klein"),)),
-        ("cyclic", True), ("cyclic", 3.0),
-        ("direct_product", None, ("klein", "klein")),
-    ])
-    def test_malformed_spec(self, args):
-        # n exactly for cyclic, dihedral and symmetric; two factors exactly
-        # for a product; neither for klein.  n is an int, not a bool or a
-        # float, and a factor is a GroupSpec, not its name; the error names
-        # the field
-        with pytest.raises(ValueError, match=f"^(kind '{args[0]}' takes|n must"
-                                             " be an int|factors must be GroupSpecs)"):
-            GroupSpec(*args)
-
-    @pytest.mark.parametrize("args,message", [
-        (("klein", 3), "kind 'klein' takes no n and no factors"),
-        (("direct_product",), "kind 'direct_product' takes no n and 2 factors"),
-        (("cyclic", 3, (GroupSpec("klein"),)), "kind 'cyclic' takes n and no factors"),
-    ])
-    def test_malformed_spec_message(self, args, message):
-        with pytest.raises(ValueError) as info:
-            GroupSpec(*args)
-        assert str(info.value) == message
-
-    @pytest.mark.parametrize("n", [-5, 0, 257])
-    def test_parameter_outside_degree_bound(self, n):
-        # raised at construction, before expected_order computes n!
-        with pytest.raises(ValueError, match="1..256"):
-            GroupSpec("symmetric", n)

@@ -114,7 +114,8 @@ def test_rejects_non_string_algebra_name(name):
         algebra_from_dict({"size": 2, "ops": [[1, 0]], "name": name}, "a.json")
 
 
-@pytest.mark.parametrize("text", ["[" * 100_000, "[" * 100_000 + "]" * 100_000])
+@pytest.mark.parametrize("text", ["[" * 100_000, "[" * 100_000 + "]" * 100_000],
+                         ids=["open", "closed"])
 def test_rejects_json_nested_past_the_recursion_limit(tmp_path, text):
     path = tmp_path / "deep.json"
     path.write_text(text)

@@ -198,6 +198,18 @@ class TestShape:
         assert chain(3).detect_mn() is None
         assert chain(3).shape() == ("chain", None)
 
+    @pytest.mark.parametrize("lower,upper", [(1, 2), (2, 1)], ids=["up", "down"])
+    def test_pentagon_is_not_mn(self, lower, upper):
+        # N5: bottom 0, top 4, lower < upper, and 3 beside both; of its three
+        # middle elements one pair is comparable, the smaller listed first
+        # ("up") or second ("down")
+        up = [0b11111, 0, 0, 0b11000, 0b10000]
+        up[lower] = 1 << lower | 1 << upper | 1 << 4
+        up[upper] = 1 << upper | 1 << 4
+        L = FinLattice(up)
+        assert L.detect_mn() is None
+        assert L.shape() == ("other", None)
+
     def test_con_of_klein_regular_is_m3(self):
         L = all_congruences(gset_algebra(regular_action(klein())))
         assert L.detect_mn() == 3
