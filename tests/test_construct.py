@@ -1,11 +1,14 @@
 """Group constructors, actions, and the catalog."""
 
+import re
+
 import pytest
 
 from mnlab import (all_subgroups, alternating, catalog, coset_action, cyclic,
                    dihedral, direct_product, is_dihedral, klein, quaternion,
                    regular_action, symmetric)
 from mnlab import construct
+from mnlab.cli import main
 from mnlab.perm import PermGroup
 
 from oracles import core
@@ -173,3 +176,32 @@ class TestCatalog:
         assert names == [n.split(":", 1)[1] for n in recorded()
                          if n.startswith("catalog48:")]
 
+
+class TestGroupSpec:
+    """A group spec, a kind with the flags it reads, as `mnlab group make`
+    checks it against the CLI's table of kinds: n for cyclic and symmetric,
+    m for dihedral, --left and --right for a product, none for klein."""
+
+    @pytest.mark.parametrize("args", [
+        ("cyclic",), ("dihedral",), ("symmetric",), ("klein", "--n", "3"),
+        ("klein", "--left", "klein"), ("product",), ("product", "--left", "klein"),
+        ("product", "--left", "klein", "--right", "klein", "--n", "3"),
+        ("cyclic", "--n", "3", "--left", "klein"),
+    ])
+    def test_malformed_spec(self, args, capsys):
+        # refused before anything is built; the error names the flag
+        assert main(["group", "make", "--kind", *args]) == 2
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert re.fullmatch(f"mnlab: error: group make --kind {args[0]}"
+                            r" (does not read|requires) --[a-z]+\n", out.err)
+
+    @pytest.mark.parametrize("args,message", [
+        (("klein", "--n", "3"), "klein does not read --n"),
+        (("product",), "product requires --left"),
+        (("cyclic", "--n", "3", "--left", "klein"), "cyclic does not read --left"),
+    ])
+    def test_malformed_spec_message(self, args, message, capsys):
+        assert main(["group", "make", "--kind", *args]) == 2
+        err = capsys.readouterr().err
+        assert err == f"mnlab: error: group make --kind {message}\n"
