@@ -78,6 +78,8 @@ def _factor(flag: str, text: str) -> tuple:
     if kind in KINDS and READS[kind]:
         try:
             n = _parameter(int(param))
+            if kind == "dihedral" and n < 2:  # construct.dihedral's least m
+                raise ValueError
         except ValueError:
             raise UsageError(f"--{flag}: bad factor parameter in {text!r}") from None
         return KINDS[kind](n)
@@ -96,8 +98,8 @@ def _cmd_group(args) -> int:
                                       for flag in READS[args.kind]))]
     makers, orders, names = zip(*factors)
     order = math.prod(orders)
-    if order > DEFAULT_ORDER_BOUND:
-        raise UsageError(f"group order {order} exceeds bound {DEFAULT_ORDER_BOUND}")
+    if order > DEFAULT_ORDER_BOUND:  # not printed: 256! has 507 digits
+        raise UsageError(f"group order exceeds bound {DEFAULT_ORDER_BOUND}")
     G = reduce(direct_product, [make() for make in makers])
     assert G.order == order
     if args.regular:

@@ -301,7 +301,7 @@ def check_theorem2(p: int, max_size: int) -> VerificationReport:
     t0 = time.perf_counter()
     k = p + 1
     per_size = []
-    witnesses = []
+    witnesses, counterexamples = [], []
     ok = True
     for s in range(2, max_size + 1):
         # a closed system needs every *pairwise* join at the top already:
@@ -319,9 +319,9 @@ def check_theorem2(p: int, max_size: int) -> VerificationReport:
             "candidate_systems": n_candidates,
             "closed_systems": len(closed),
         })
-        witnesses.extend({"size": s, "system": c} for c in closed)
-        if s < 2 * p and closed:
-            ok = False
+        # a closed system below 2p refutes the first claim
+        (counterexamples if s < 2 * p else witnesses).extend(
+            {"size": s, "system": c} for c in closed)
         if s == 2 * p and not closed:
             ok = False
     notes = [f"expected: zero closed systems below carrier {2 * p},"
@@ -332,9 +332,10 @@ def check_theorem2(p: int, max_size: int) -> VerificationReport:
     return VerificationReport(
         sweep="theorem2",
         params={"p": p, "max_size": max_size},
-        status="PASS" if ok else "FAIL",
+        status="PASS" if ok and not counterexamples else "FAIL",
         findings=per_size,
         witnesses=witnesses,
+        counterexamples=counterexamples,
         counts={"total_closed": sum(x["closed_systems"] for x in per_size)},
         notes=notes,
         timing_ms=(time.perf_counter() - t0) * 1e3,

@@ -1,6 +1,8 @@
 """Mutation sweep over the sweeps in verify.py, the flag and factor checks in
 cli.py, the constructors and catalog in construct.py, the lattice check and
-M_n detector in lattice.py, and the coset action and cycle walk in perm.py.
+M_n detector in lattice.py, the coset action and cycle walk in perm.py, the
+union-find, join, refinement and partition index in partition.py, and the
+join closure and Galois check in congruence.py.
 
 Run by hand from the root of a checkout (pytest does not collect this file):
 
@@ -76,6 +78,12 @@ TARGETS = (
       "tests/test_perm.py::TestQuotient",
       "tests/test_construct.py::TestCosetAction",
       "tests/test_verify.py::TestLemmaSweep")),
+    (Path("src/mnlab/partition.py"),
+     ("rgs_closure", "rgs_join", "rgs_refines", "partition_index"),
+     ("tests/test_partition.py",)),
+    (Path("src/mnlab/congruence.py"),
+     ("_join_closure", "_close", "galois_is_closed"),
+     ("tests/test_congruence.py",)),
 )
 MEMORY_BYTES = 2 << 30
 
@@ -104,6 +112,7 @@ FINDING = ("findings.append({'group': name, 'subgroup_key': _subgroup_key(H),"
            " 'rotation_simple': m_prime}, 'ok': n_eq and two_index2})")
 TWO_INDEX2 = ("two_index2 = sum((1 for K in iv[{}:{}] if len(K) == 2 *"
               " H.order)) {} {}")
+GALOIS = "principals {} want and _join_closure(size, principals) == want"
 
 # mutant label -> why no test can kill it
 EQUIVALENT = {
@@ -131,6 +140,11 @@ EQUIVALENT = {
         "at max_order 6 regular S3 is regular D6, already in the catalog, and"
         " a product with S3 has order at least 12, so S3 in the base changes"
         " nothing at 6",
+    "galois_is_closed op 0 flipped: return " + GALOIS.format("<=") + " -> return "
+    + GALOIS.format("<"):
+        "a principal congruence Cg(a, b) relates a and b, so none is the"
+        " bottom, which `want` holds: the principals lie in `want` exactly"
+        " when they lie strictly in it",
     "_atom_systems -1: proper = range(1, ix.bottom) -> proper ="
     " range(0, ix.bottom)":
         "`proper` then takes in the top (id 0), whose pair relation meets every"

@@ -20,21 +20,15 @@ from mnlab.congruence import _congruence_set
 from mnlab.partition import rgs_canonical, rgs_join, rgs_refines
 
 from oracles import all_partitions, rgs_meet, subgroups_bounded_gen
+from reports import recorded_text
 
 RESULTS = []
 
-# check_theorem1(p).to_dict() without timing_ms: p = 3 as written before the
+# the recorded_text of check_theorem1(p): p = 3 as written before the
 # group layer built every coset action through one function, p = 2 before
 # subgroup joins were taken one per normalizer orbit
 THEOREM1_P2 = Path(__file__).parent / "data" / "theorem1_p2.json"
 THEOREM1_P3 = Path(__file__).parent / "data" / "theorem1_p3.json"
-
-
-def recorded_text(report):
-    """A report as recorded in tests/data: sorted JSON without timing_ms."""
-    recorded = report.to_dict()
-    recorded.pop("timing_ms")
-    return json.dumps(recorded, indent=2, sort_keys=True) + "\n"
 
 
 @contextmanager
@@ -119,7 +113,7 @@ def test_criterion_4_theorem1_p2():
         assert by_degree[4]["subgroups"] == 30
         assert by_degree[5]["subgroups"] == 156
         assert sum(f["hits"] for f in report.findings) == 1
-        assert recorded_text(report) == THEOREM1_P2.read_text()
+        assert recorded_text(report.to_dict()) == THEOREM1_P2.read_text()
 
 
 def test_criterion_5_theorem1_p3_slow_tier():
@@ -139,7 +133,7 @@ def test_criterion_5_theorem1_p3_slow_tier():
         assert any("degree 7 excluded by the prime-degree rule" in note
                    for note in report.notes)
         assert not any("assum" in note.lower() for note in report.notes)
-        assert recorded_text(report) == THEOREM1_P3.read_text()
+        assert recorded_text(report.to_dict()) == THEOREM1_P3.read_text()
 
 
 def test_criterion_6_theorem2_p3():

@@ -12,7 +12,15 @@ from mnlab import all_congruences, cli, congruence, verify
 from mnlab.cli import main
 from mnlab.io import load_algebra
 
-THEOREM1_P3 = Path(__file__).parent / "data" / "theorem1_p3.json"
+from reports import recorded_digest, recorded_text
+
+DATA = Path(__file__).parent / "data"
+# each recorded report under tests/data and the mnlab verify arguments that
+# write it; the lemma's report is kept as a digest only
+RECORDED = {"theorem1_p2.json": ["theorem1", "--p", "2"],
+            "theorem1_p3.json": ["theorem1", "--p", "3"],
+            "theorem2_p3_s6.json": ["theorem2", "--p", "3", "--max-size", "6"],
+            "lemma_48.sha256": ["lemma", "--max-order", "48"]}
 
 
 def run(argv, capsys):
@@ -176,13 +184,15 @@ class TestWitnessAndCon:
         rc, stdout, err = run(["con", str(tmp_path)], capsys)  # a directory
         assert rc == 2 and stdout == "" and str(tmp_path) in err
         # not JSON at all: an empty file, a truncated one and one nested past
-        # the recursion limit
+        # the recursion limit, each refused at once
         for name, text in (("empty", ""), ("truncated", '{"size": 2, "ops": [[0'),
                            ("nested", "[" * 100_000)):
             path = tmp_path / f"{name}.json"
             path.write_text(text)
             for argv in (["con", str(path)], ["interval", str(g), str(path)]):
+                start = time.perf_counter()
                 rc, stdout, err = run(argv, capsys)
+                assert time.perf_counter() - start < 10, (name, argv)
                 assert rc == 2 and stdout == "", (name, argv)
                 assert err.startswith("mnlab: error: ") and str(path) in err
 
@@ -200,16 +210,22 @@ class TestWitnessAndCon:
 
 class TestInterval:
     def test_interval_report(self, tmp_path, capsys):
-        g, h = tmp_path / "g.json", tmp_path / "h.json"
-        assert run(["group", "make", "--kind", "symmetric", "--n", "3",
-                    "--out", str(g)], capsys)[0] == 0
-        h.write_text(json.dumps({"format": 1, "degree": 3,
-                                 "generators": []}))
-        rc, stdout, _ = run(["interval", str(g), str(h)], capsys)
-        assert rc == 0
-        data = json.loads(stdout)
-        assert data["lattice"]["shape"] == "M_n" and data["lattice"]["n"] == 4
-        assert data["interval"]["index"] == 6
+        """Group files written by group make, and one with no generators,
+        read back: Sub(S3) is M_4 and [Z3, S3] is the chain 3 < 6."""
+        s3, z3, e3 = (tmp_path / f"{name}.json" for name in ("s3", "z3", "e3"))
+        for kind, out in (("symmetric", s3), ("cyclic", z3)):
+            assert run(["group", "make", "--kind", kind, "--n", "3",
+                        "--out", str(out)], capsys)[0] == 0
+        e3.write_text(json.dumps({"format": 1, "degree": 3,
+                                  "generators": []}))
+        for h, orders, shape in ((e3, [1, 2, 2, 2, 3, 6], ("M_n", 4)),
+                                 (z3, [3, 6], ("chain", None))):
+            rc, stdout, _ = run(["interval", str(s3), str(h)], capsys)
+            assert rc == 0
+            data = json.loads(stdout)
+            assert (data["lattice"]["shape"], data["lattice"].get("n")) == shape
+            assert data["interval"]["subgroup_orders"] == orders
+            assert data["interval"]["index"] == 6 // orders[0]
 
     def test_group_file_bounds_are_usage_errors(self, tmp_path, capsys):
         g = tmp_path / "g.json"
@@ -257,13 +273,17 @@ class TestVerify:
         rc, stdout, err = run(["verify", "lemma", "--max-order", "-3"], capsys)
         assert rc == 2 and stdout == "" and "at least 1" in err
 
-    def test_theorem1_p3_needs_no_flag(self, capsys):
-        rc, stdout, _ = run(["verify", "theorem1", "--p", "3"], capsys)
+    @pytest.mark.parametrize("name", sorted(RECORDED))
+    def test_report_matches_the_recorded_one(self, name, capsys):
+        """Each recorded report, written by mnlab verify from its arguments
+        alone; theorem1 --p 3 needs no other flag."""
+        rc, stdout, _ = run(["verify", *RECORDED[name]], capsys)
         assert rc == 0
-        data = json.loads(stdout)
-        data.pop("timing_ms")
-        assert (json.dumps(data, indent=2, sort_keys=True) + "\n"
-                == THEOREM1_P3.read_text())
+        report, recorded = json.loads(stdout), (DATA / name).read_text()
+        if name.endswith(".sha256"):
+            assert recorded_digest(report) == recorded.strip()
+        else:
+            assert recorded_text(report) == recorded
 
     def test_flags_the_sweep_does_not_read_are_usage_errors(self, capsys):
         for argv, flag in ((["lemma", "--p", "3"], "--p"),
@@ -324,9 +344,8 @@ class TestVerify:
         r1, r2 = tmp_path / "r1.json", tmp_path / "r2.json"
         run(["verify", "lemma", "--max-order", "8", "--out", str(r1)], capsys)
         run(["verify", "lemma", "--max-order", "8", "--out", str(r2)], capsys)
-        d1, d2 = json.loads(r1.read_text()), json.loads(r2.read_text())
-        d1.pop("timing_ms"), d2.pop("timing_ms")
-        assert d1 == d2
+        assert (recorded_text(json.loads(r1.read_text()))
+                == recorded_text(json.loads(r2.read_text())))
 
 
 # each group kind and each sweep, with a flag it does not read added or a
@@ -389,6 +408,8 @@ ORDER_CASES = [
     (["product", "--left", "symmetric:4", "--right", "dihedral:5"], "S4xD10",
      240, 9),
     (["product", "--left", "dihedral:3", "--right", "klein"], "D6xV4", 24, 7),
+    # the least factor parameter of each kind: dihedral's is 2
+    (["product", "--left", "dihedral:2", "--right", "cyclic:1"], "D4xZ1", 4, 5),
 ]
 
 
@@ -432,6 +453,8 @@ FACTOR_CASES = [
     ("cyclic:", "bad factor parameter in 'cyclic:'"),
     ("cyclic:x", "bad factor parameter in 'cyclic:x'"),
     ("cyclic:300", "bad factor parameter in 'cyclic:300'"),
+    # in 1..256, but below construct.dihedral's least m
+    ("dihedral:1", "bad factor parameter in 'dihedral:1'"),
     ("bogus:3", "bad factor 'bogus:3'; use kind:param, e.g. cyclic:3, or klein"),
     ("klein:9", "bad factor 'klein:9'; use kind:param, e.g. cyclic:3, or klein"),
 ]
@@ -442,10 +465,20 @@ FACTOR_CASES = [
                          ids=[text for text, _ in FACTOR_CASES])
 def test_bad_factor_message(text, message, flag, capsys):
     factors = {"left": "cyclic:2", "right": "cyclic:2", flag: text}
+    start = time.perf_counter()
     rc, stdout, err = run(GROUP + ["product", "--left", factors["left"],
                                    "--right", factors["right"]], capsys)
+    assert time.perf_counter() - start < 10
     assert rc == 2 and stdout == ""
     assert err == f"mnlab: error: --{flag}: {message}\n"
+
+
+def test_order_past_the_bound_names_the_bound(capsys):
+    # 4 x 256! has 508 digits, so the message names the bound alone
+    rc, stdout, err = run(GROUP + ["product", "--left", "symmetric:256",
+                                   "--right", "klein"], capsys)
+    assert rc == 2 and stdout == ""
+    assert err == "mnlab: error: group order exceeds bound 5040\n"
 
 
 def test_unknown_kind_is_usage_error(capsys):

@@ -7,7 +7,7 @@ import re
 
 import pytest
 
-from mnlab import (Partition, UnaryAlgebra, all_congruences,
+from mnlab import (Partition, UnaryAlgebra, all_congruences, congruence,
                    congruences_oracle, cyclic, dihedral, galois_is_closed,
                    gset_algebra, klein, preserving_maps, regular_action,
                    symmetric)
@@ -192,6 +192,19 @@ class TestOracle:
             assert {r[:7] for r in big} == small
             alone = [r[:7] for r in big if r[7] > max(r[:7])]
             assert len(alone) == len(small) and set(alone) == small
+
+    def test_index_bound_picks_the_closure_path(self, monkeypatch):
+        """Up to INDEX_SIZE_BOUND points the closure joins coatom masks and
+        calls no rgs_join; one point more, it joins RGS."""
+        calls = []
+        real = congruence.rgs_join
+        monkeypatch.setattr(congruence, "rgs_join",
+                            lambda a, b: calls.append(a) or real(a, b))
+        for size in (INDEX_SIZE_BOUND, INDEX_SIZE_BOUND + 1):
+            calls.clear()
+            rotation = tuple((i + 1) % size for i in range(size))
+            assert _congruence_set(size, [rotation])
+            assert bool(calls) == (size > INDEX_SIZE_BOUND), size
 
     def test_block_systems_agree_with_sympy(self, symmetric_subgroups):
         """sympy's own block routines, on every transitive subgroup of S4,
@@ -387,6 +400,21 @@ class TestGaloisClosure:
             closed = galois_is_closed(size, parts)
             assert closed == (closure == want)
             assert not closed
+
+    def test_principal_outside_the_system_decides_without_joining(
+            self, monkeypatch):
+        """On 4 points, Cg(0, 1) of the maps preserving (0, 0, 0, 1) and
+        (0, 0, 1, 0) is (0, 0, 1, 2), outside the system, so the check
+        answers False before any join; a system whose principals all lie
+        in it is joined."""
+        joined = []
+        real = congruence._join_closure
+        monkeypatch.setattr(congruence, "_join_closure",
+                            lambda size, gens: joined.append(gens) or real(size, gens))
+        assert not galois_is_closed(4, [(0, 0, 0, 1), (0, 0, 1, 0)])
+        assert joined == []
+        assert not galois_is_closed(4, [(0, 0, 1, 2), (0, 1, 2, 2)])
+        assert len(joined) == 1
 
     def test_closure_contains_inputs_and_bounds(self):
         rng = random.Random(5)

@@ -190,7 +190,8 @@ class TestPartitionIndex:
         ix = partition_index(7)
         assert len(ix.parts) == 877
         assert ix.co[ix.top] == 0
-        assert ix.co[ix.bottom].bit_count() == 63  # 2^6 - 1 two-block partitions
+        # bits 0..62, one per two-block partition, 2^6 - 1 of them
+        assert ix.co[ix.bottom] == (1 << 63) - 1
 
     @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7])
     def test_lookups_invert_parts_and_coatom_masks(self, n):

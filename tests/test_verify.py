@@ -2,7 +2,6 @@
 
 import collections
 import functools
-import hashlib
 import itertools
 import json
 import random
@@ -23,21 +22,19 @@ from mnlab.verify import _atom_systems, _mn_of, _orbit_firsts, _subgroup_key
 from oracles import (all_partitions, atom_systems, core, is_simple,
                      maximal_descent_closure, orbits_bfs, rgs_meet,
                      subgroups_bounded_gen, system_orbits)
+from reports import recorded_digest, recorded_text
 
-# check_theorem2(3, 6).to_dict() without timing_ms, as written before the
-# sweep Galois-checked one system per orbit
+# the recorded_text of check_theorem2(3, 6), as written before the sweep
+# Galois-checked one system per orbit
 THEOREM2_P3_S6 = Path(__file__).parent / "data" / "theorem2_p3_s6.json"
-# SHA-256 of json.dumps(check_lemma(48).to_dict() without timing_ms,
-# indent=2, sort_keys=True); the 279 KB report itself is not kept
+# the recorded_digest of check_lemma(48); the 279 KB report itself is not kept
 LEMMA_48_SHA256 = Path(__file__).parent / "data" / "lemma_48.sha256"
 
 
 @functools.lru_cache(maxsize=None)
-def _theorem2_p3_s6() -> dict:
-    """One size-6 sweep, shared by the tests that read its report."""
-    report = check_theorem2(3, max_size=6).to_dict()
-    report.pop("timing_ms")
-    return report
+def _theorem2_p3_s6() -> str:
+    """One size-6 sweep's recorded text, shared by the tests that read it."""
+    return recorded_text(check_theorem2(3, max_size=6).to_dict())
 
 
 class TestEnumeration:
@@ -135,11 +132,8 @@ class TestLemmaSweep:
 
     def test_report_48_matches_the_recorded_digest(self):
         report = check_lemma(max_order=48).to_dict()
-        report.pop("timing_ms")
-        text = json.dumps(report, indent=2, sort_keys=True)
         assert report["counterexamples"] == [] and report["status"] == "PASS"
-        assert (hashlib.sha256(text.encode()).hexdigest()
-                == LEMMA_48_SHA256.read_text().strip())
+        assert recorded_digest(report) == LEMMA_48_SHA256.read_text().strip()
 
     def test_rotation_simple_by_the_simplicity_oracle(self):
         """rotation_simple, read from m alone, is the brute-force simplicity
@@ -235,10 +229,8 @@ class TestLemmaSweep:
         assert report.counts["mn_intervals"] == 0
 
     def test_report_json_deterministic_up_to_timing(self):
-        a = check_lemma(max_order=6).to_dict()
-        b = check_lemma(max_order=6).to_dict()
-        a.pop("timing_ms"), b.pop("timing_ms")
-        assert json.dumps(a, sort_keys=True) == json.dumps(b, sort_keys=True)
+        assert (recorded_text(check_lemma(max_order=6).to_dict())
+                == recorded_text(check_lemma(max_order=6).to_dict()))
 
 
 class TestTheorem1:
@@ -301,13 +293,15 @@ class TestTheorem1:
         """The rule that excludes degree 7, checked by enumeration at the
         smaller primes: every transitive subgroup of S_d has exactly two
         congruences, by the brute-force partition filter over all of K's
-        elements."""
+        elements and by the library on K's generators, as theorem 1 takes
+        them."""
         found = 0
         for K in symmetric_subgroups(d):
             if {g(0) for g in K} == set(range(d)):
                 found += 1
                 A = UnaryAlgebra(d, tuple(g.images for g in K))
                 assert congruences_oracle(A).n == 2
+                assert all_congruences(gset_algebra(K)).n == 2
         assert found == transitive
 
 
@@ -354,6 +348,16 @@ class TestTheorem2:
         assert report.status == "FAIL"
         closed = {f["size"]: f["closed_systems"] for f in report.findings}
         assert closed == {2: 0, 3: 0, 4: 0, 5: 70, 6: 20}
+
+    def test_closed_system_below_2p_is_a_counterexample(self, monkeypatch):
+        """Fault injection: every pairwise-top system reads as Galois-closed,
+        so each of the 70 at size 5 refutes the first claim, and none is a
+        witness of the second."""
+        monkeypatch.setattr(verify, "galois_is_closed", lambda n, atoms: True)
+        report = check_theorem2(3, max_size=5)
+        assert report.status == "FAIL" and report.witnesses == []
+        assert len(report.counterexamples) == 70
+        assert {c["size"] for c in report.counterexamples} == {5}
 
     def test_no_closed_system_at_2p_fails(self, monkeypatch):
         monkeypatch.setattr(verify, "galois_is_closed", lambda n, atoms: False)
@@ -428,7 +432,8 @@ class TestTheorem2:
             want.add(frozenset(rgs[a] for a in L.atoms()))
         assert len(want) == 20
         got = [frozenset(map(tuple, w["system"]))
-               for w in _theorem2_p3_s6()["witnesses"] if w["size"] == 6]
+               for w in json.loads(_theorem2_p3_s6())["witnesses"]
+               if w["size"] == 6]
         assert len(got) == 20 and set(got) == want
 
     def test_report_matches_the_recorded_one(self):
@@ -437,8 +442,8 @@ class TestTheorem2:
         0/0/34/4850/718785 and the same 20 witnesses in the same order."""
         recorded = THEOREM2_P3_S6.read_text()
         # the dicts first: a failing compare of the whole texts diffs slowly
-        assert _theorem2_p3_s6() == json.loads(recorded)
-        assert json.dumps(_theorem2_p3_s6(), indent=2, sort_keys=True) + "\n" == recorded
+        assert json.loads(_theorem2_p3_s6()) == json.loads(recorded)
+        assert _theorem2_p3_s6() == recorded
 
     @pytest.mark.parametrize("size,closed", [(5, 0), (6, 20)])
     def test_orbit_verdict_is_the_direct_verdict(self, size, closed):
