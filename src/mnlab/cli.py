@@ -63,10 +63,12 @@ KINDS = {"cyclic": lambda n: (partial(cyclic, n), n, f"Z{n}"),
          "klein": lambda: (klein, 4, "V4")}
 
 
-def _parameter(n: int) -> int:
+def _parameter(kind: str, flag: str, n: int) -> int:
     # n is a natural degree, so this also keeps n! cheap to compute
     if not 1 <= n <= MAX_DEGREE:
         raise ValueError(f"parameter {n} must lie in 1..{MAX_DEGREE}")
+    if kind == "dihedral" and n < 2:  # construct.dihedral's least m
+        raise ValueError(f"--{flag}: dihedral needs at least 2, got {n}")
     return n
 
 
@@ -77,9 +79,7 @@ def _factor(flag: str, text: str) -> tuple:
     kind, _, param = text.partition(":")
     if kind in KINDS and READS[kind]:
         try:
-            n = _parameter(int(param))
-            if kind == "dihedral" and n < 2:  # construct.dihedral's least m
-                raise ValueError
+            n = _parameter(kind, flag, int(param))
         except ValueError:
             raise UsageError(f"--{flag}: bad factor parameter in {text!r}") from None
         return KINDS[kind](n)
@@ -94,7 +94,7 @@ def _cmd_group(args) -> int:
     if args.kind == "product":
         factors = [_factor(flag, getattr(args, flag)) for flag in READS["product"]]
     else:
-        factors = [KINDS[args.kind](*(_parameter(getattr(args, flag))
+        factors = [KINDS[args.kind](*(_parameter(args.kind, flag, getattr(args, flag))
                                       for flag in READS[args.kind]))]
     makers, orders, names = zip(*factors)
     order = math.prod(orders)

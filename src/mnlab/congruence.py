@@ -2,9 +2,10 @@
 
 A congruence of a unary algebra is a partition compatible with every
 operation (x ~ y implies f(x) ~ f(y)).  The main route computes all
-congruences by generating principal ones and closing under join, on the
-coatom masks of ``partition_index`` for carriers of up to INDEX_SIZE_BOUND
-(7) points and with ``rgs_join`` above that; the oracle route searches
+congruences by generating principal ones, as a fixpoint of ``&``, and
+closing under join, ``&`` again, on the coatom masks of ``partition_index``
+for carriers of up to INDEX_SIZE_BOUND (7) points; above that, with
+``rgs_closure`` and ``rgs_join``.  The oracle route searches
 every partition of the carrier, dropping dead prefixes, exactly those that
 no congruence extends.  ``preserving_maps`` goes the other way, from a set
 of partitions to all maps preserving them; the congruences of the algebra
@@ -66,9 +67,27 @@ def _principal_rgs(size: int, ops: Sequence[Sequence[int]],
 
 
 def _principals(size: int, ops: Sequence[Sequence[int]]) -> set[tuple[int, ...]]:
-    """The principal congruences Cg(a, b), a < b, as RGS tuples."""
-    return {_principal_rgs(size, ops, a, b)
-            for a in range(size) for b in range(a + 1, size)}
+    """The principal congruences Cg(a, b), a < b, as RGS tuples.  Up to
+    INDEX_SIZE_BOUND points: Cg(a, b) is the equivalence generated by the
+    pairs (w(a), w(b)), w a word in the ops (Mal'cev), so its coatom mask
+    is the ``&`` of the atoms of the pairs reachable from (a, b).  cg[t]
+    starts at pair t's atom and takes ``&= cg[u]`` for each image pair u of
+    t until nothing changes: it stays an ``&`` of reachable atoms, and at
+    the fixpoint lies inside every reachable cg[u], so every reachable atom.
+    Larger carriers close each pair by union-find."""
+    if size > INDEX_SIZE_BOUND:
+        return {_principal_rgs(size, ops, a, b)
+                for a in range(size) for b in range(a + 1, size)}
+    ix = partition_index(size)
+    succ = [[ix.pair_ids[op[x], op[y]] for op in ops if op[x] != op[y]]
+            for x in range(size) for y in range(x + 1, size)]
+    cg, last = list(ix.atoms), None
+    while cg != last:
+        last = cg[:]
+        for t, us in enumerate(succ):
+            for u in us:
+                cg[t] &= cg[u]
+    return {ix.parts[ix.co_ids[m]] for m in cg}
 
 
 def _join_closure(size: int, principals: set[tuple[int, ...]]) -> set[tuple[int, ...]]:

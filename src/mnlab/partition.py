@@ -6,9 +6,9 @@ A partition is its RGS tuple, and the ``rgs_*`` functions join, refine and
 close them; ``Partition`` only checks that a tuple is a valid RGS.
 
 ``rgs_closure`` is the one union-find of the library: the finest partition
-relating some pairs and compatible with some maps.  A principal congruence
-Cg(a, b) of a unary algebra, the join of two partitions and the orbits of a
-group (in ``perm``) are all closures of this kind.
+relating some pairs and compatible with some maps.  The join of two
+partitions, the orbits of a group (in ``perm``) and a principal congruence
+Cg(a, b) above INDEX_SIZE_BOUND points are all closures of this kind.
 
 For carriers of up to INDEX_SIZE_BOUND points, ``partition_index(n)`` interns
 every partition of an n-set by its position in ``all_rgs(n)`` order, so the
@@ -20,9 +20,11 @@ but the top is the meet of its coatoms, so a join is the top exactly when
 the coatom masks are disjoint, and a join's coatom mask is their ``&``.
 Either mask decides refinement by a subset test.  Two lookups invert the
 tables: ``ids`` maps an RGS to its id and ``co_ids`` a coatom mask to its
-id.  It serves theorem 2's clique searches, which count candidate systems
-from one partition per block-size shape and list the pairwise-top ones, and
-the congruence join closure on coatom masks up to INDEX_SIZE_BOUND points.
+id, and ``pair_ids`` a pair to its bit in a pair relation; ``atoms`` holds
+each pair's atom as a coatom mask.  It serves theorem 2's clique searches,
+which count candidate systems from one partition per block-size shape and
+list the pairwise-top ones, and the principal congruences and their join
+closure on coatom masks up to INDEX_SIZE_BOUND points.
 The index is built on first use for each n and kept for the life of the
 process.
 """
@@ -164,6 +166,8 @@ class PartitionIndex:
     # derived from the fields above, so left out of == and hash
     ids: dict[tuple[int, ...], int] = field(compare=False)   # RGS -> id
     co_ids: dict[int, int] = field(compare=False)            # coatom mask -> id
+    pair_ids: dict[tuple[int, int], int] = field(compare=False)  # x, y -> bit
+    atoms: tuple[int, ...] = field(compare=False)  # bit -> atom's coatom mask
 
     top = 0  # all_rgs(n) starts with the all-zero RGS
 
@@ -182,8 +186,13 @@ def partition_index(n: int) -> PartitionIndex:
     coatoms = [rc for r, rc in zip(parts, rel) if max(r, default=0) == 1]
     co = tuple(sum(1 << c for c, rc in enumerate(coatoms) if not ri & ~rc)
                for ri in rel)
-    return PartitionIndex(parts, rel, co, {r: i for i, r in enumerate(parts)},
-                          {m: i for i, m in enumerate(co)})
+    ids = {r: i for i, r in enumerate(parts)}
+    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+    atoms = tuple(co[ids[rgs_canonical(x if i == y else i for i in range(n))]]
+                  for x, y in pairs)
+    return PartitionIndex(parts, rel, co, ids, {m: i for i, m in enumerate(co)},
+                          {p: t for t, (x, y) in enumerate(pairs)
+                           for p in ((x, y), (y, x))}, atoms)
 
 
 class Partition(tuple):

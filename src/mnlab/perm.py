@@ -8,7 +8,7 @@ equals and hashes as that set and ``H <= G`` is the subgroup order (elements
 of different degrees differ in length, so such groups are never nested); it
 iterates its elements in a canonical order (lexicographic on images).  Orbits
 are the blocks of ``partition.rgs_closure`` of the pairs (x, g(x)), the same
-union-find that closes congruences and joins.
+union-find that joins partitions and closes congruences above 7 points.
 """
 
 from __future__ import annotations
@@ -303,6 +303,8 @@ def subgroup_records(G: PermGroup) -> dict[frozenset, tuple[bytes, ...]]:
        orbit of the prime-power cyclic subgroups of R under conjugation by
        N_G(H), if g is outside N_G(H); <H, n.g.n^-1> = n.<H, g>.n^-1 for n
        in N_G(H).  The orbits are taken under the generators of N_G(H).
+       H and g lie in R, so a closure past |R|/q, q the least prime
+       dividing |R|, is R: it stops there.
 
     This finds every subgroup U, by induction on |U|.  If U > 1 is not
     perfect, U/U' is a nontrivial abelian group, so U has a normal subgroup
@@ -321,9 +323,6 @@ def subgroup_records(G: PermGroup) -> dict[frozenset, tuple[bytes, ...]]:
     ident = bytes(range(degree))
     elems = [bytes(p) for p in G.elements]  # exact bytes keep the hot loops fast
     full_key = frozenset(elems)
-    # largest possible proper-subgroup order; a closure past it must be G
-    largest_proper = G.order // min(
-        (p for p in range(2, G.order + 1) if G.order % p == 0), default=1)
     # one shared bytes object per element keeps the element sets small
     intern = {b: b for b in elems}
     pad = _PAD[degree:]
@@ -374,10 +373,13 @@ def subgroup_records(G: PermGroup) -> dict[frozenset, tuple[bytes, ...]]:
                 nset = mulclose(degree, ngens, seed=nset)
         reps.append((eset, gens, ngens, nset))
 
-    residual = _solvable_residual(G)
+    residual = frozenset(map(intern.__getitem__, _solvable_residual(G)))
+    # a join step stays in R, so a closure past R's largest proper order is R
+    r = len(residual)
+    r_proper = r // min((q for q in range(2, r + 1) if r % q == 0), default=1)
     unit_of: dict[bytes, bytes] = {}  # x -> the least generator of <x>
     units = []  # the b with <b> of prime-power order, ascending
-    for b in sorted(map(intern.__getitem__, residual))[1:]:  # identity is first
+    for b in sorted(residual)[1:]:  # identity is first
         if b in unit_of:
             continue
         powers, tb = [b], table[b]
@@ -424,8 +426,8 @@ def subgroup_records(G: PermGroup) -> dict[frozenset, tuple[bytes, ...]]:
         for g in orbit_firsts(ngens):
             if g in nset:
                 continue
-            res = mulclose(degree, gens + (g,), seed=eset, stop_above=largest_proper)
-            key = full_key if res is None else frozenset(intern[x] for x in res)
+            res = mulclose(degree, gens + (g,), seed=eset, stop_above=r_proper)
+            key = residual if res is None else frozenset(intern[x] for x in res)
             if key not in subs:
                 add_class(key, gens + (g,))
     return subs

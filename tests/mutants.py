@@ -2,7 +2,7 @@
 cli.py, the constructors and catalog in construct.py, the lattice check and
 M_n detector in lattice.py, the coset action and cycle walk in perm.py, the
 union-find, join, refinement and partition index in partition.py, and the
-join closure and Galois check in congruence.py.
+principal congruences, join closure and Galois check in congruence.py.
 
 Run by hand from the root of a checkout (pytest does not collect this file):
 
@@ -82,7 +82,7 @@ TARGETS = (
      ("rgs_closure", "rgs_join", "rgs_refines", "partition_index"),
      ("tests/test_partition.py",)),
     (Path("src/mnlab/congruence.py"),
-     ("_join_closure", "_close", "galois_is_closed"),
+     ("_principals", "_join_closure", "_close", "galois_is_closed"),
      ("tests/test_congruence.py",)),
 )
 MEMORY_BYTES = 2 << 30

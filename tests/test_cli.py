@@ -448,6 +448,13 @@ def test_group_make_parameter_outside_1_to_256(argv, message, capsys):
     assert err == f"mnlab: error: {message}\n"
 
 
+def test_dihedral_m_below_2_names_the_flag(capsys):
+    # in 1..256, but below construct.dihedral's least m, like dihedral:1
+    rc, stdout, err = run(GROUP + ["dihedral", "--m", "1"], capsys)
+    assert rc == 2 and stdout == ""
+    assert err == "mnlab: error: --m: dihedral needs at least 2, got 1\n"
+
+
 FACTOR_CASES = [
     ("cyclic", "bad factor parameter in 'cyclic'"),
     ("cyclic:", "bad factor parameter in 'cyclic:'"),

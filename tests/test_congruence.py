@@ -11,7 +11,8 @@ from mnlab import (Partition, UnaryAlgebra, all_congruences, congruence,
                    congruences_oracle, cyclic, dihedral, galois_is_closed,
                    gset_algebra, klein, preserving_maps, regular_action,
                    symmetric)
-from mnlab.congruence import _congruence_set, _lattice_from_rgs, _principal_rgs
+from mnlab.congruence import (_congruence_set, _lattice_from_rgs,
+                               _principal_rgs, _principals)
 from mnlab.partition import INDEX_SIZE_BOUND, rgs_canonical, rgs_refines
 from mnlab.perm import PermGroup
 
@@ -107,6 +108,63 @@ class TestPrincipal:
             a, b = rng.randrange(size), rng.randrange(size)
             above = [c for c in congs if c[a] == c[b]]
             assert principal(A, a, b) == functools.reduce(rgs_meet, above)
+
+
+def union_find_principals(size, ops):
+    return {_principal_rgs(size, ops, a, b)
+            for a in range(size) for b in range(a + 1, size)}
+
+
+class TestPrincipals:
+    """The fixpoint on atom masks against one union-find closure per pair."""
+
+    def test_seeded_algebras(self):
+        rng = random.Random(27)
+        kinds = [lambda n: [rng.randrange(n) for _ in range(n)],  # random
+                 lambda n: [rng.randrange(n)] * n,                # constant
+                 lambda n: [rng.randrange(2) for _ in range(n)],  # into {0, 1}
+                 lambda n: rng.sample(range(n), n)]               # a bijection
+        for size in range(1, INDEX_SIZE_BOUND + 1):
+            for n_ops in range(4):
+                for _ in range(12):
+                    ops = [tuple(rng.choice(kinds)(size)) for _ in range(n_ops)]
+                    assert (_principals(size, ops)
+                            == union_find_principals(size, ops)), (size, ops)
+
+    def test_every_transitive_action_of_s1_to_s6(self, symmetric_subgroups):
+        actions = 0
+        for d in range(1, 7):
+            for G in symmetric_subgroups(d):
+                gens = [g.images for g in G.generators]
+                if len(orbits_bfs(d, gens)) == 1:
+                    assert _principals(d, gens) == union_find_principals(d, gens)
+                    actions += 1
+        assert actions == 312
+
+    def test_image_pairs_late_in_the_numbering(self):
+        """Under x -> min(x + 1, 6), Cg(a, b) is the block a..6, reached
+        through image pairs numbered after (a, b): one pass in pair order
+        does not get there."""
+        assert _principals(7, [(1, 2, 3, 4, 5, 6, 6)]) == {
+            tuple(range(a)) + (a,) * (7 - a) for a in range(6)}
+        shift = tuple((i + 1) % 7 for i in range(7))
+        assert _principals(7, [shift]) == {(0,) * 7}  # 7 is prime
+
+    def test_index_bound_picks_the_principal_path(self, monkeypatch):
+        """Up to INDEX_SIZE_BOUND points the principal congruences come from
+        the mask fixpoint with no union-find; one point more, from one
+        _principal_rgs call per pair."""
+        calls = []
+        real = congruence._principal_rgs
+        monkeypatch.setattr(congruence, "_principal_rgs",
+                            lambda *args: calls.append(args) or real(*args))
+        for size in (INDEX_SIZE_BOUND, INDEX_SIZE_BOUND + 1):
+            rotation = tuple((i + 1) % size for i in range(size))
+            calls.clear()
+            assert (_principals(size, [rotation])
+                    == union_find_principals(size, [rotation]))
+            assert len(calls) == (size * (size - 1) // 2
+                                  if size > INDEX_SIZE_BOUND else 0), size
 
 
 class TestAllCongruences:

@@ -221,6 +221,19 @@ class TestPartitionIndex:
         for (i, a), (j, b) in itertools.product(enumerate(ix.parts), repeat=2):
             assert (ix.rel[i] & ~ix.rel[j] == 0) == rgs_refines(a, b)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7])
+    def test_pair_bits_and_atoms(self, n):
+        """pair_ids gives x, y in either order the bit of {x, y} in a pair
+        relation, and atoms[t] is the coatom mask of the partition whose
+        relation is that bit alone: x and y in one block, all else apart."""
+        ix = partition_index(n)
+        assert len(ix.pair_ids) == n * (n - 1) and len(ix.atoms) == n * (n - 1) // 2
+        for x, y in itertools.permutations(range(n), 2):
+            atom = rgs_canonical(min(x, y) if i == max(x, y) else i for i in range(n))
+            t = ix.pair_ids[x, y]
+            assert ix.rel[ix.ids[atom]] == 1 << t
+            assert ix.atoms[t] == ix.co[ix.ids[atom]]
+
     def test_size_bound(self):
         with pytest.raises(ValueError, match="outside"):
             partition_index(8)
