@@ -20,9 +20,9 @@ import operator
 from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
-from .lattice import FinLattice
-from .partition import (INDEX_SIZE_BOUND, bell_number, partition_index,
-                        rgs_closure, rgs_is_valid, rgs_join)
+from .lattice import FinLattice, _bits
+from .partition import (INDEX_SIZE_BOUND, _pair_relation, bell_number,
+                        partition_index, rgs_closure, rgs_is_valid, rgs_join)
 from .perm import PermGroup
 
 CON_SIZE_BOUND = 64
@@ -125,12 +125,15 @@ def _congruence_set(size: int, ops: Sequence[Sequence[int]]) -> set[tuple[int, .
 
 
 def _lattice_from_rgs(rgs_set: set[tuple[int, ...]]) -> FinLattice:
-    """Ordered by refinement, which is inclusion of the related pairs."""
+    """Ordered by refinement, which is inclusion of the related pairs, each
+    partition given as the bit positions of its pair relation: the partition
+    index's ``rel`` up to INDEX_SIZE_BOUND points, ``_pair_relation`` above."""
     items = sorted(rgs_set)
     labels = [",".join(map(str, r)) for r in items]
-    related = [{(x, y) for y, b in enumerate(r) for x in range(y) if r[x] == b}
-               for r in items]
-    return FinLattice.from_inclusion(related, labels)
+    n = len(items[0])
+    ix = partition_index(n) if n <= INDEX_SIZE_BOUND else None
+    rels = [ix.rel[ix.ids[r]] if ix else _pair_relation(r) for r in items]
+    return FinLattice.from_inclusion([tuple(_bits(m)) for m in rels], labels)
 
 
 def all_congruences(A: UnaryAlgebra) -> FinLattice:

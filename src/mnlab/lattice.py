@@ -1,21 +1,24 @@
 """Finite lattices on int bitsets: shape analysis and DOT diagrams.
 
 A lattice over elements 0..n-1 is held as Python-int bitsets: ``up[i]`` has
-bit j set iff i <= j, and ``down`` is its transpose, with optional string
-labels.  Construction walks each comparable pair once, filling ``down`` and
-``covers``, and verifies that the order really is a lattice: a partial
-order with unique bottom and top in which every pair has a join.  Only the
+bit j set iff i <= j, and ``down``, its transpose, is built on first use,
+with optional string labels.  Construction walks the covers: for each i it
+takes the highest-indexed j above i that is left and drops j's up-set, so
+where indices fall going up the order (congruences sorted by RGS) it takes
+one j per cover, not one per comparable pair.  It fills ``covers`` and
+verifies that the order really is a lattice: a partial order with unique
+bottom and top in which every pair has a join.  Only the
 pairs with a join-irreducible member (one lower cover) are tested: every
 other element above the bottom is the join of two of its lower covers, so
 its joins follow from theirs.  Meets follow too, so they are not checked:
 the meet of a pair is the join of its common lower bounds, the bottom among
 them.  ``from_inclusion`` builds the order of a family of sets (partitions
-enter as their sets of related pairs).
+enter as the bit positions of their pair relations).
 """
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Callable, Collection, Iterator, Optional, Sequence
 
 
@@ -51,8 +54,8 @@ class NotALatticeError(ValueError):
 class FinLattice:
     """An immutable finite lattice over elements 0..n-1, given by its
     up-sets: bit j of ``up[i]`` is set iff i <= j.  Construction sets
-    ``down``, the transpose, and ``covers``: bit j of ``covers[i]`` is set
-    iff j covers i (strictly above, nothing between)."""
+    ``covers``: bit j of ``covers[i]`` is set iff j covers i (strictly
+    above, nothing between)."""
 
     def __init__(self, up: Sequence[int], labels: Optional[Sequence[str]] = None):
         self.up = tuple(up)
@@ -63,8 +66,17 @@ class FinLattice:
         self._validate()
 
     def _validate(self) -> None:
-        """Check that ``up`` is a lattice order; set ``down``, ``covers``,
-        ``bottom`` and ``top``."""
+        """Check that ``up`` is a lattice order; set ``covers``, ``bottom``
+        and ``top``.  For each i the walk takes the highest j left in
+        strict[i], ORs strict[j] into ``above`` and drops strict[j] and j.
+        covers[i] is strict[i] less ``above``, and the rest of ``above`` is
+        stray.  With nothing stray the order is a partial order and the
+        covers are exact, whichever j is taken: up[i] is {i} with the up-sets
+        of the j taken, each inside up[i] and without i, so smaller, and so
+        closed by induction on |up[i]|; a j not taken lies in the up-set of
+        one taken, so it adds nothing to ``above``.  A stray bit means that
+        antisymmetry, read off ``down`` and reported first, or transitivity
+        fails."""
         up, n = self.up, self.n
         if n == 0:
             raise NotALatticeError("empty carrier has no bottom element")
@@ -72,31 +84,29 @@ class FinLattice:
             raise ValueError(f"an up-set has a bit at or above n = {n}")
         if any(not u >> i & 1 for i, u in enumerate(up)):
             raise ValueError("order is not reflexive")
-        # One walk over the pairs i < j: fill down, and OR the strict up-sets
-        # of the j above i.  An antisymmetric order is transitive iff each
-        # such OR stays inside i's strict up-set; covers[i] is the rest of it.
         strict = [u ^ 1 << i for i, u in enumerate(up)]
-        down = [1 << i for i in range(n)]
         covers = []
         stray = 0  # above some j > i but not above i
-        for i, s in enumerate(strict):
-            above = 0
-            for j in _bits(s):
-                down[j] |= 1 << i
+        for s in strict:
+            above, rest = 0, s
+            while rest:
+                j = rest.bit_length() - 1
                 above |= strict[j]
+                rest &= ~(strict[j] | 1 << j)
             stray |= above & ~s
             covers.append(s & ~above)
-        self.down, self.covers = tuple(down), tuple(covers)
-        if any(u & d != 1 << i for i, (u, d) in enumerate(zip(up, down))):
-            raise ValueError("order is not antisymmetric")
         if stray:
+            if any(u & d != 1 << i for i, (u, d) in enumerate(zip(up, self.down))):
+                raise ValueError("order is not antisymmetric")
             raise ValueError("order is not transitive")
+        self.covers = tuple(covers)
         full = (1 << n) - 1
         if up.count(full) != 1:
             raise NotALatticeError("bottom element is not unique")
-        if down.count(full) != 1:
+        common = reduce(int.__and__, up)  # above every element: the top, or 0
+        if not common:
             raise NotALatticeError("top element is not unique")
-        self.bottom, self.top = up.index(full), down.index(full)
+        self.bottom, self.top = up.index(full), common.bit_length() - 1
         # A pair has a join when some element's up-set is the pair's whole
         # common up-set.  Testing x v j for join-irreducible j (one lower
         # cover) suffices, by induction on the down-set of y: x v 0 = x, and
@@ -136,11 +146,20 @@ class FinLattice:
         return bool(self.up[i] >> j & 1)
 
     @cached_property
+    def down(self) -> tuple[int, ...]:
+        """The transpose of ``up``, built on first use."""
+        down = [0] * self.n
+        for i, u in enumerate(self.up):
+            for j in _bits(u):
+                down[j] |= 1 << i
+        return tuple(down)
+
+    @cached_property
     def height(self) -> int:
         """Longest chain length minus one."""
         h = [0] * self.n  # longest chain from the bottom up to each element
-        # by down-set size, a linear extension: lower covers come first
-        for i in sorted(range(self.n), key=lambda k: self.down[k].bit_count()):
+        # largest up-set first, a linear extension: lower covers come first
+        for i in sorted(range(self.n), key=lambda k: -self.up[k].bit_count()):
             for j in _bits(self.covers[i]):
                 h[j] = max(h[j], h[i] + 1)
         return max(h)
@@ -150,9 +169,6 @@ class FinLattice:
 
     def coatoms(self) -> list[int]:
         return [i for i, c in enumerate(self.covers) if c >> self.top & 1]
-
-    def meet(self, i: int, j: int) -> int:
-        return self.down.index(self.down[i] & self.down[j])
 
     def join(self, i: int, j: int) -> int:
         return self.up.index(self.up[i] & self.up[j])
@@ -177,8 +193,9 @@ class FinLattice:
         return _mn_of(mids, self.leq)
 
     def is_chain(self) -> bool:
-        full = (1 << self.n) - 1
-        return all(u | d == full for u, d in zip(self.up, self.down))
+        """At most one upper cover each: the meet of two incomparable
+        elements has two, one below each of them."""
+        return all(not c & (c - 1) for c in self.covers)
 
     def shape(self) -> tuple[str, Optional[int]]:
         """("M_n", n) / ("chain", None) / ("boolean-2", None) / ("other", None).

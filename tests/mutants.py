@@ -1,10 +1,12 @@
 """Mutation sweep over the sweeps in verify.py, the flag and factor checks in
-cli.py, the constructors and catalog in construct.py, the lattice check and
-M_n detector in lattice.py, the coset action and cycle walk in perm.py, the
-union-find, join, refinement and partition index in partition.py, and the
-principal congruences, join closure and Galois check in congruence.py.
+cli.py, the constructors and catalog in construct.py, the lattice check,
+its transpose, height, chain test and M_n detector in lattice.py, the coset action and cycle
+walk in perm.py, the union-find, join, refinement and partition index in
+partition.py, and the principal congruences, join closure, Galois check and
+congruence lattice in congruence.py.
 
-Run by hand from the root of a checkout (pytest does not collect this file):
+Run from the root of a checkout (pytest does not collect this file; CI runs
+the lattice.py triple):
 
     python tests/mutants.py                  # every mutant, in a temp dir
     python tests/mutants.py --list           # print the mutants, run nothing
@@ -66,7 +68,8 @@ TARGETS = (
      ("catalog", "symmetric", "alternating"),
      ("tests/test_construct.py",)),
     (Path("src/mnlab/lattice.py"),
-     ("_mn_of", "FinLattice._validate", "FinLattice.from_inclusion"),
+     ("_mn_of", "FinLattice._validate", "FinLattice.from_inclusion",
+      "FinLattice.down", "FinLattice.height", "FinLattice.is_chain"),
      ("tests/test_lattice.py",)),
     (Path("src/mnlab/perm.py"),
      ("coset_action", "_on_cosets", "quotient", "is_normal", "_order_of",
@@ -82,7 +85,8 @@ TARGETS = (
      ("rgs_closure", "rgs_join", "rgs_refines", "partition_index"),
      ("tests/test_partition.py",)),
     (Path("src/mnlab/congruence.py"),
-     ("_principals", "_join_closure", "_close", "galois_is_closed"),
+     ("_principals", "_join_closure", "_close", "galois_is_closed",
+      "_lattice_from_rgs"),
      ("tests/test_congruence.py",)),
 )
 MEMORY_BYTES = 2 << 30
@@ -145,6 +149,11 @@ EQUIVALENT = {
         "a principal congruence Cg(a, b) relates a and b, so none is the"
         " bottom, which `want` holds: the principals lie in `want` exactly"
         " when they lie strictly in it",
+    "_lattice_from_rgs op 0 flipped: ix = partition_index(n) if n <="
+    " INDEX_SIZE_BOUND else None -> ix = partition_index(n) if n <"
+    " INDEX_SIZE_BOUND else None":
+        "the index builds each rel with _pair_relation, so at 7 points the"
+        " mutant computes the same masks the index holds",
     "_atom_systems -1: proper = range(1, ix.bottom) -> proper ="
     " range(0, ix.bottom)":
         "`proper` then takes in the top (id 0), whose pair relation meets every"

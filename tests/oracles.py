@@ -8,9 +8,11 @@ by at most three elements (the extreme case is the rank-3 elementary abelian
 more generators.  ``subgroups_join_closure`` has no order bound: it closes
 the cyclic subgroups under joins with a cyclic subgroup.
 
-``is_lattice`` is the all-pairs reference check of a finite order: unique
-bottom and top, and a greatest lower and a least upper bound for every pair,
-each found by numpy masks over the whole order.  ``is_join_irreducible``
+``is_lattice`` is the all-pairs reference check of a finite relation: a
+partial order by ``is_reflexive``, ``is_antisymmetric`` and
+``is_transitive`` (the boolean square of the matrix), unique bottom and top,
+and a greatest lower and a least upper bound for every pair, each found by
+numpy masks over the whole order.  ``is_join_irreducible``
 lists an element's lower covers straight from the order.
 
 ``core`` intersects all conjugates of H, the definition of the kernel of G
@@ -47,6 +49,7 @@ import collections
 import functools
 import itertools
 
+import numpy as np
 from mnlab import FinLattice, Partition
 from mnlab.partition import all_rgs, rgs_canonical, rgs_join
 from mnlab.perm import PermGroup, _compose, _inverse, mulclose
@@ -139,9 +142,30 @@ def is_join_irreducible(leq, j):
     return len(covers) == 1
 
 
+def is_reflexive(leq):
+    return bool(leq.diagonal().all())
+
+
+def is_antisymmetric(leq):
+    """No i != j with i <= j and j <= i."""
+    both = leq & leq.T
+    return not (both & ~np.eye(leq.shape[0], dtype=bool)).any()
+
+
+def is_transitive(leq):
+    """i <= k whenever i <= j and j <= k for some j: the boolean square of
+    ``leq`` adds nothing to it."""
+    square = leq.astype(np.int64) @ leq.astype(np.int64) > 0
+    return not (square & ~leq).any()
+
+
 def is_lattice(leq):
-    """True iff the partial order ``leq`` (a boolean matrix) is a lattice."""
+    """True iff the relation ``leq`` (a boolean matrix) is a lattice order:
+    a partial order with unique bottom and top and a meet and a join for
+    every pair."""
     n = leq.shape[0]
+    if not (is_reflexive(leq) and is_antisymmetric(leq) and is_transitive(leq)):
+        return False
     if n == 0 or leq.all(axis=1).sum() != 1 or leq.all(axis=0).sum() != 1:
         return False
     return all(pair_has_meet(leq, i, j) and pair_has_join(leq, i, j)

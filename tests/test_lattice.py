@@ -9,7 +9,7 @@ from pathlib import Path
 import mnlab
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mnlab import (FinLattice, NotALatticeError, UnaryAlgebra,
@@ -18,8 +18,8 @@ from mnlab import (FinLattice, NotALatticeError, UnaryAlgebra,
 from mnlab.congruence import _congruence_set
 from mnlab.partition import rgs_join
 
-from oracles import (is_join_irreducible, is_lattice, m_n, pair_has_join,
-                     rgs_meet)
+from oracles import (is_antisymmetric, is_join_irreducible, is_lattice,
+                     is_reflexive, is_transitive, m_n, pair_has_join, rgs_meet)
 
 
 @st.composite
@@ -31,6 +31,69 @@ def subset_families(draw):
     if draw(st.booleans()):
         masks |= {0, 2 ** m - 1}
     return [frozenset(i for i in range(m) if x >> i & 1) for x in sorted(masks)]
+
+
+@st.composite
+def up_set_lists(draw):
+    """Up-set lists on 0 to 6 elements: a random order (the closure of
+    random pairs i < j, sometimes with a bottom and a top added), or a
+    random relation, reflexive or not; then up to two bits flipped, one of
+    them sometimes bit n, out of range."""
+    n = draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        below = [1 << i for i in range(n)]  # the closure, column by column
+        for j in range(n):
+            for i in range(j):
+                if draw(st.booleans()):
+                    below[j] |= below[i]
+        if n >= 2 and draw(st.booleans()):
+            below = [1] + [b << 1 | 1 for b in below[:-2]] + [(1 << n) - 1]
+        up = [sum(1 << j for j in range(n) if below[j] >> i & 1)
+              for i in range(n)]
+    else:
+        up = draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+        if draw(st.booleans()):
+            up = [u | 1 << i for i, u in enumerate(up)]
+    for i, j in draw(st.lists(st.tuples(st.integers(0, 5), st.integers(0, 6)),
+                              max_size=2 if n else 0)):
+        up[i % n] ^= 1 << min(j, n)
+    return up
+
+
+def relabelled(up, perm):
+    """Element i becomes perm[i]; bits at or above n stay where they are."""
+    n = len(up)
+    out = [0] * n
+    for i, u in enumerate(up):
+        out[perm[i]] = u >> n << n | sum(1 << perm[j] for j in range(n)
+                                         if u >> j & 1)
+    return out
+
+
+def first_failure(up):
+    """The error FinLattice(up) must raise, as (type, message), with message
+    None for a missing join; None if up is a lattice order."""
+    n = len(up)
+    if n == 0:
+        return NotALatticeError, "empty carrier has no bottom element"
+    if any(u >> n for u in up):
+        return ValueError, f"an up-set has a bit at or above n = {n}"
+    leq = bit_matrix(up, n)
+    for holds, what in ((is_reflexive, "reflexive"),
+                        (is_antisymmetric, "antisymmetric"),
+                        (is_transitive, "transitive")):
+        if not holds(leq):
+            return ValueError, f"order is not {what}"
+    for axis, end in ((1, "bottom"), (0, "top")):
+        if leq.all(axis=axis).sum() != 1:
+            return NotALatticeError, f"{end} element is not unique"
+    return None if is_lattice(leq) else (NotALatticeError, None)
+
+
+def meet(L, i, j):
+    """The meet of i and j through ``down``: the element whose down-set is
+    their common down-set."""
+    return L.down.index(L.down[i] & L.down[j])
 
 
 def seeded_families():
@@ -53,8 +116,8 @@ def bit_matrix(masks, n):
 
 
 def assert_walk_matches_definitions(L, leq):
-    """up, down, covers, bottom and top against the order matrix: j covers
-    i iff i < j with no k strictly between."""
+    """up, down, covers, bottom, top and is_chain against the order matrix:
+    j covers i iff i < j with no k strictly between."""
     n = len(leq)
     lt = leq & ~np.eye(n, dtype=bool)
     between = lt.astype(np.float32) @ lt.astype(np.float32)  # #k, i < k < j
@@ -63,6 +126,7 @@ def assert_walk_matches_definitions(L, leq):
     assert (bit_matrix(L.covers, n) == (lt & (between == 0))).all()
     assert [L.bottom] == np.flatnonzero(leq.all(axis=1)).tolist()
     assert [L.top] == np.flatnonzero(leq.all(axis=0)).tolist()
+    assert L.is_chain() == (leq | leq.T).all()
 
 
 def subgroup_lattice(G):
@@ -152,6 +216,34 @@ class TestConstruction:
         leq = ~(related[:, None, :] & ~related[None, :, :]).any(axis=2)
         assert_walk_matches_definitions(L, leq)
 
+    @settings(max_examples=300, deadline=None)
+    @given(up_set_lists(), st.randoms(use_true_random=False))
+    @example([0b111111, 0b111010, 0b111100, 0b101000, 0b110000, 0b100000],
+             random.Random(0))  # 1, 2 < 3, 4: a bounded order with no 1 v 2
+    def test_accepts_exactly_the_oracle_lattices_of_any_relation(self, up, rng):
+        """As drawn, under a random relabelling and with the indices
+        reversed, since the covers walk takes the highest index first: a
+        lattice order passes the definitions, and anything else raises the
+        first failing check's error."""
+        n = len(up)
+        perm = list(range(n))
+        rng.shuffle(perm)
+        for variant in (up, relabelled(up, perm),
+                        relabelled(up, range(n - 1, -1, -1))):
+            want = first_failure(variant)
+            if want is None:
+                assert_walk_matches_definitions(FinLattice(variant),
+                                                bit_matrix(variant, n))
+                continue
+            with pytest.raises(want[0]) as err:
+                FinLattice(variant)
+            if want[1] is not None:
+                assert str(err.value) == want[1] and type(err.value) is want[0]
+            else:
+                x, j = err.value.pair
+                assert str(err.value) == f"elements {x} and {j} have no join"
+                assert not pair_has_join(bit_matrix(variant, n), x, j)
+
     def test_non_partial_order_rejected(self):
         with pytest.raises(ValueError, match="antisymmetric"):
             FinLattice([0b11, 0b11])
@@ -232,9 +324,14 @@ class TestShape:
 
     def test_meet_join_tables(self):
         L = m_n(3)
-        assert L.meet(1, 2) == L.bottom
+        assert meet(L, 1, 2) == L.bottom
         assert L.join(1, 2) == L.top
-        assert L.meet(1, 1) == 1 == L.join(1, 1)
+        assert meet(L, 1, 1) == 1 == L.join(1, 1)
+        leq = bit_matrix(L.up, L.n)
+        for i in range(L.n):
+            for j in range(L.n):
+                lows = leq[:, i] & leq[:, j]
+                assert lows[meet(L, i, j)] and leq[lows, meet(L, i, j)].all()
 
     @pytest.mark.parametrize("n", [4, 5])
     def test_meet_join_of_eq_n_are_partition_meet_join(self, n):
@@ -244,7 +341,7 @@ class TestShape:
         assert L.n == len(set(rgs)) == {4: 15, 5: 52}[n]
         for i in range(L.n):
             for j in range(L.n):
-                assert rgs[L.meet(i, j)] == rgs_meet(rgs[i], rgs[j])
+                assert rgs[meet(L, i, j)] == rgs_meet(rgs[i], rgs[j])
                 assert rgs[L.join(i, j)] == rgs_join(rgs[i], rgs[j])
 
 
