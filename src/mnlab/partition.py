@@ -7,8 +7,8 @@ close them; ``Partition`` only checks that a tuple is a valid RGS.
 
 ``rgs_closure`` is the one union-find of the library: the finest partition
 relating some pairs and compatible with some maps.  The join of two
-partitions, the orbits of a group (in ``perm``) and a principal congruence
-Cg(a, b) above INDEX_SIZE_BOUND points are all closures of this kind.
+partitions and a principal congruence Cg(a, b) above INDEX_SIZE_BOUND
+points are both closures of this kind.
 
 For carriers of up to INDEX_SIZE_BOUND points, ``partition_index(n)`` interns
 every partition of an n-set by its position in ``all_rgs(n)`` order, so the

@@ -7,8 +7,8 @@ set: ``PermGroup`` is a ``frozenset`` subclass holding the full closure, so it
 equals and hashes as that set and ``H <= G`` is the subgroup order (elements
 of different degrees differ in length, so such groups are never nested); it
 iterates its elements in a canonical order (lexicographic on images).  Orbits
-are the blocks of ``partition.rgs_closure`` of the pairs (x, g(x)), the same
-union-find that joins partitions and closes congruences above 7 points.
+are walked from their least points over the generators' images, with no
+union-find.
 """
 
 from __future__ import annotations
@@ -16,8 +16,6 @@ from __future__ import annotations
 import math
 from collections import deque
 from typing import AbstractSet, Iterable, Iterator, Optional, Sequence
-
-from .partition import _rgs_blocks, rgs_closure
 
 MAX_DEGREE = 256  # points the bytes encoding can hold
 _PAD = bytes(range(MAX_DEGREE))
@@ -67,28 +65,37 @@ def mulclose(degree: int, gens: Iterable[bytes], *, seed: Iterable[bytes] = (),
              stop_above: Optional[int] = None) -> Optional[set[bytes]]:
     """Close ``gens`` (image bytes) under composition; returns the element set.
 
-    ``seed`` may pre-populate the result with elements already known to lie in
-    the generated group.  If ``stop_above`` is given and the closure exceeds
-    that many elements, returns None (the caller knows which full group that
-    forces).
+    ``seed``, if given, is the element set of a subgroup K generated by those
+    of ``gens`` that lie in it, such as the group of a prefix of ``gens``.
+    Dimino's method (Butler, Fundamental Algorithms for Permutation Groups,
+    1991): each generator g outside the group K built so far is added by
+    closing the left cosets y.K under left multiplication by K's generators
+    and g, each new coset taken whole.  If ``stop_above`` is given and the
+    closure exceeds that many elements, returns None (the caller knows which
+    full group that forces).
     """
     ident = bytes(range(degree))
-    seen = {ident}
-    seen.update(seed)
-    tables = [_table(g) for g in dict.fromkeys(gens) if g != ident]
-    frontier = list(seen)
-    while frontier:
-        new = []
-        for t in tables:
-            for x in frontier:
-                y = x.translate(t)
-                if y not in seen:
-                    seen.add(y)
-                    new.append(y)
-        if stop_above is not None and len(seen) > stop_above:
-            return None
-        frontier = new
-    return seen
+    elems = list(seed) or [ident]  # K, then its cosets in the group so far
+    seen = set(elems)
+    gens = [g for g in dict.fromkeys(gens) if g != ident]
+    tables = [_table(g) for g in gens if g in seen]  # they generate the seed
+    for g in gens:
+        if g in seen:
+            continue
+        tables.append(_table(g))
+        group, reps = elems[:], [ident]
+        for y in reps:  # each coset y.K's images under the generators
+            for t in tables:
+                z = y.translate(t)
+                if z not in seen:
+                    tz = _table(z)
+                    coset = [k.translate(tz) for k in group]
+                    seen.update(coset)
+                    elems += coset
+                    reps.append(z)
+                    if stop_above is not None and len(seen) > stop_above:
+                        return None
+    return seen if stop_above is None or len(seen) <= stop_above else None
 
 
 class Perm(bytes):
@@ -204,12 +211,23 @@ class PermGroup(frozenset):
         return _orbits(self.degree, self.generators)
 
 
-def _orbits(degree: int, gens: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
+def _orbits(degree: int, gens: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Orbits on {0..degree-1} of the group generated by ``gens`` (image
-    bytes or lists), each sorted, in order of least point: the blocks of the
-    closure of the pairs (i, g[i])."""
-    pairs = ((i, j) for g in gens for i, j in enumerate(g))
-    return list(_rgs_blocks(rgs_closure(degree, pairs, ())))
+    bytes or lists), each sorted, in order of least point: each walked from
+    its least point over the images of its points under ``gens``."""
+    orbit_of: list[Optional[list[int]]] = [None] * degree
+    out = []
+    for x in range(degree):
+        if orbit_of[x] is None:
+            orbit = orbit_of[x] = [x]
+            for y in orbit:
+                for g in gens:
+                    z = g[y]
+                    if orbit_of[z] is None:
+                        orbit_of[z] = orbit
+                        orbit.append(z)
+            out.append(tuple(sorted(orbit)))
+    return out
 
 
 def _small_genset(degree: int, eset: Iterable[bytes]) -> tuple[bytes, ...]:
@@ -289,9 +307,10 @@ def subgroup_records(G: PermGroup) -> dict[frozenset, tuple[bytes, ...]]:
     It keeps a transversal t_K with K = t_K.H.t_K^-1 for each K in the
     class; by Schreier's lemma the elements t_L^-1.c.t_K, one per edge
     K -> L = c.K.c^-1 of the walk, self-loops included, generate N_G(H).
-    They are added to H's generators one at a time, skipping any already
+    They are made in walk order, each added to H's generators unless already
     generated, until the closure reaches |N_G(H)| = |G|/|class|; a class of
-    size 1 means H is normal and N_G(H) = G.  Each H then takes two steps:
+    size 1 means H is normal and N_G(H) = G, and none is made.  Each H then
+    takes two steps:
 
     1. Prime-index step.  For each x in N_G(H) \\ H outside every U already
        built from H, let k be least with x^k in H.  If k is prime, U = H, xH,
@@ -343,7 +362,7 @@ def subgroup_records(G: PermGroup) -> dict[frozenset, tuple[bytes, ...]]:
         with generators and elements of its normalizer."""
         subs[eset] = gens
         trans = {eset: (ident, table[ident])}  # K: (t_K, table of t_K^-1)
-        schreier = []
+        edges = []  # (t_K, table of c, L) per edge K -> L off the tree
         frontier = [(eset, gens)]
         while frontier:
             new = []
@@ -352,7 +371,7 @@ def subgroup_records(G: PermGroup) -> dict[frozenset, tuple[bytes, ...]]:
                 for tc, cinv, conj in conj_by:
                     cgens = tuple(map(conj.__getitem__, kgens))
                     lset = kset
-                    if not all(h in kset for h in cgens):  # c does not normalize K
+                    if not kset.issuperset(cgens):  # c does not normalize K
                         lset = frozenset(map(conj.__getitem__, kset))
                         if lset not in trans:
                             subs[lset] = cgens
@@ -361,13 +380,14 @@ def subgroup_records(G: PermGroup) -> dict[frozenset, tuple[bytes, ...]]:
                                            cinv.translate(tkinv) + pad)
                             new.append((lset, cgens))
                             continue
-                    schreier.append(tk.translate(tc).translate(trans[lset][1]))
+                    edges.append((tk, tc, lset))
             frontier = new
         order = G.order // len(trans)  # |N_G(H)| = |G| / |class|
         ngens, nset = list(gens), full_key if order == G.order else eset
-        for s in schreier:
+        for tk, tc, lset in edges:  # Schreier generators, made as needed
             if len(nset) == order:
                 break
+            s = tk.translate(tc).translate(trans[lset][1])
             if s not in nset:
                 ngens.append(s)
                 nset = mulclose(degree, ngens, seed=nset)
@@ -460,7 +480,7 @@ def _on_cosets(G: PermGroup, H: PermGroup, xs: Iterable[Perm]) -> list[Perm]:
             for h in H.elements:
                 number[h.translate(t)] = len(reps)
             reps.append(p)
-    return [Perm([number[_compose(x, r)] for r in reps]) for x in xs]
+    return [Perm([number[r.translate(tx)] for r in reps]) for tx in map(_table, xs)]
 
 
 def coset_action(G: PermGroup, H: PermGroup) -> PermGroup:

@@ -1,12 +1,13 @@
 """Mutation sweep over the sweeps in verify.py, the flag and factor checks in
 cli.py, the constructors and catalog in construct.py, the lattice check,
-its transpose, height, chain test and M_n detector in lattice.py, the coset action and cycle
-walk in perm.py, the union-find, join, refinement and partition index in
-partition.py, and the principal congruences, join closure, Galois check and
-congruence lattice in congruence.py.
+its transpose, height, chain test and M_n detector in lattice.py, the coset
+action, cycle walk, closure and orbit walk in perm.py, the union-find, join,
+refinement and partition index in partition.py, and the principal
+congruences, join closure, Galois check and congruence lattice in
+congruence.py.
 
 Run from the root of a checkout (pytest does not collect this file; CI runs
-the lattice.py triple):
+the lattice.py and perm.py triples):
 
     python tests/mutants.py                  # every mutant, in a temp dir
     python tests/mutants.py --list           # print the mutants, run nothing
@@ -73,8 +74,12 @@ TARGETS = (
      ("tests/test_lattice.py",)),
     (Path("src/mnlab/perm.py"),
      ("coset_action", "_on_cosets", "quotient", "is_normal", "_order_of",
-      "_cycles"),
+      "_cycles", "mulclose", "_orbits"),
      ("tests/test_perm.py::TestPerm",
+      "tests/test_perm.py::TestClosure",
+      "tests/test_perm.py::TestRecordedRecords",
+      "tests/test_verify.py::TestEnumeration::test_orbit_count",
+      "tests/test_verify.py::TestEnumeration::test_transitivity_by_the_orbit_of_0",
       "tests/test_perm.py::TestPredicates",
       "tests/test_perm.py::TestCosets",
       "tests/test_perm.py::TestNormalityAndCore",
@@ -161,6 +166,10 @@ EQUIVALENT = {
         " apart[j] holds 0, so neither does adj.  The top is the one partition"
         " of its shape, and as that shape's representative it counts 0"
         " candidates; in the listing it opens no branch, as adj[0] is 0",
+    "mulclose term 0 dropped: elems = list(seed) or [ident] -> elems ="
+    " [ident]":
+        "the seed is generated by those of gens that lie in it, so closing all"
+        " of gens from the identity builds the same group, in more cosets",
 }
 
 

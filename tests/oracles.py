@@ -6,7 +6,9 @@ proper subgroup has order <= 12, and every group of order <= 12 is generated
 by at most three elements (the extreme case is the rank-3 elementary abelian
 2-group of order 8).  The full group is seeded explicitly since it may need
 more generators.  ``subgroups_join_closure`` has no order bound: it closes
-the cyclic subgroups under joins with a cyclic subgroup.
+the cyclic subgroups under joins with a cyclic subgroup.  Both close with
+``closure``, which multiplies every element by every generator breadth-first
+from the identity, with no cosets and no seed.
 
 ``is_lattice`` is the all-pairs reference check of a finite relation: a
 partial order by ``is_reflexive``, ``is_antisymmetric`` and
@@ -52,7 +54,25 @@ import itertools
 import numpy as np
 from mnlab import FinLattice, Partition
 from mnlab.partition import all_rgs, rgs_canonical, rgs_join
-from mnlab.perm import PermGroup, _compose, _inverse, mulclose
+from mnlab.perm import PermGroup, _compose, _inverse
+
+
+def closure(degree, gens):
+    """The element set generated by ``gens`` (image bytes), breadth-first."""
+    ident = bytes(range(degree))
+    pad = bytes(range(degree, 256))
+    tables = [g + pad for g in gens]  # x.translate(g + pad) is g . x
+    seen, frontier = {ident}, [ident]
+    while frontier:
+        new = []
+        for t in tables:
+            for x in frontier:
+                y = x.translate(t)
+                if y not in seen:
+                    seen.add(y)
+                    new.append(y)
+        frontier = new
+    return frozenset(seen)
 
 
 def cyclic_subgroups(G):
@@ -61,7 +81,7 @@ def cyclic_subgroups(G):
     for p in G.elements:
         if p == ident:
             continue
-        key = frozenset(mulclose(G.degree, (p,)))
+        key = closure(G.degree, (p,))
         seen.setdefault(key, p)
     return seen
 
@@ -77,7 +97,7 @@ def subgroups_bounded_gen(G, max_gens=3):
     found = {frozenset({bytes(range(G.degree))}), G}
     for k in range(1, max_gens + 1):
         for combo in itertools.combinations(gens_list, k):
-            found.add(frozenset(mulclose(G.degree, combo)))
+            found.add(closure(G.degree, combo))
     groups = [PermGroup(G.degree, (), eset) for eset in found]
     groups.sort(key=lambda K: (K.order, K.elements))
     return tuple(groups)
@@ -97,7 +117,7 @@ def subgroups_join_closure(G):
         for cset, g in cyc.items():
             if not cset <= eset:
                 ext = gens + (g,)
-                join = frozenset(mulclose(G.degree, ext, seed=eset))
+                join = closure(G.degree, ext)
                 if join not in found:
                     found[join] = ext
                     work.append((join, ext))

@@ -2,6 +2,7 @@
 
 import copy
 import pickle
+import random
 import re
 
 import pytest
@@ -11,11 +12,12 @@ from hypothesis import strategies as st
 import mnlab.perm
 from mnlab import (Perm, PermGroup, all_subgroups, alternating, catalog,
                    cyclic, dihedral, group_closure, interval, is_dihedral,
-                   is_normal, klein, quotient, regular_action, symmetric)
+                   is_normal, klein, quaternion, quotient, regular_action,
+                   symmetric)
 from mnlab.perm import (_on_cosets, _solvable_residual, mulclose,
                         subgroup_records)
 
-from oracles import (core, derived_series_oracle, is_even, is_simple,
+from oracles import (closure, core, derived_series_oracle, is_even, is_simple,
                      subgroups_join_closure)
 from records_digest import digest, named, recorded
 
@@ -195,6 +197,36 @@ class TestClosure:
             for q in G:
                 assert p * q in G
             assert ~p in G
+
+    @pytest.mark.parametrize("G", [symmetric(4), dihedral(6), quaternion()],
+                             ids=["S4", "D12", "Q8"])
+    def test_subgroup_seed(self, G):
+        """Seeded by each subgroup K, with K's generators and up to three
+        random elements of G in random order, the closure is the oracle's
+        closure of the same generators."""
+        rng = random.Random(G.order)
+        for K in all_subgroups(G):
+            for _ in range(3):
+                gens = [*K.generators, *rng.sample(G.elements, rng.randint(0, 3))]
+                rng.shuffle(gens)
+                want = closure(G.degree, gens)
+                assert mulclose(G.degree, gens, seed=K) == want
+                assert mulclose(G.degree, gens, seed=list(K)) == want
+                assert mulclose(G.degree, gens) == want
+
+    @pytest.mark.parametrize("G", [cyclic(1), cyclic(6), symmetric(4),
+                                   dihedral(6), quaternion(), alternating(5)],
+                             ids=["Z1", "Z6", "S4", "D12", "Q8", "A5"])
+    def test_stop_above_is_the_order_bound(self, G):
+        """None exactly when the closure has more than stop_above elements,
+        unseeded or seeded by a subgroup, G itself included."""
+        n = G.order
+        for K in (PermGroup.trivial(G.degree), *all_subgroups(G)[1::7], G):
+            gens = K.generators + G.generators
+            assert mulclose(G.degree, gens, seed=K, stop_above=n) == G
+            assert mulclose(G.degree, gens, seed=K, stop_above=n - 1) is None
+        assert mulclose(G.degree, G.generators, stop_above=n) == G
+        assert mulclose(G.degree, G.generators, stop_above=n - 1) is None
 
 
 class TestSubgroups:

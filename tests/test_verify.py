@@ -15,7 +15,7 @@ from mnlab import (Partition, Perm, PermGroup, UnaryAlgebra, all_congruences,
                    gset_algebra, is_dihedral, minimal_representation, quotient,
                    symmetric, verify)
 from mnlab.congruence import CON_SIZE_BOUND, _congruence_set
-from mnlab.partition import rgs_join, rgs_refines
+from mnlab.partition import _rgs_blocks, rgs_closure, rgs_join, rgs_refines
 from mnlab.perm import _orbits, mulclose
 from mnlab.verify import _atom_systems, _mn_of, _orbit_firsts, _subgroup_key
 
@@ -73,6 +73,10 @@ class TestEnumeration:
                 range(degree), rng.randint(1, degree))]).images
                 for _ in range(rng.randint(0, 3))]
             assert _orbits(degree, gens) == orbits_bfs(degree, gens), gens
+            # and the blocks of the union-find closure of the pairs (x, g(x))
+            pairs = [(i, j) for g in gens for i, j in enumerate(g)]
+            assert _orbits(degree, gens) == list(
+                _rgs_blocks(rgs_closure(degree, pairs, ()))), gens
 
     def test_transitivity_by_the_orbit_of_0(self, symmetric_subgroups):
         """check_theorem1 reads transitivity as the orbit of point 0 being
