@@ -12,9 +12,9 @@ import argparse
 import json
 import math
 import sys
+from collections.abc import Sequence
 from functools import partial, reduce
 from pathlib import Path
-from typing import Optional, Sequence
 
 from .congruence import ORACLE_SIZE_BOUND, all_congruences, congruences_oracle
 from .construct import (cyclic, dihedral, direct_product, klein, regular_action,
@@ -30,7 +30,7 @@ class UsageError(Exception):
     pass
 
 
-def _emit(payload: dict, out: Optional[str]) -> None:
+def _emit(payload: dict, out: str | None) -> None:
     text = json.dumps(payload, indent=2, sort_keys=True)
     if out:
         Path(out).write_text(text + "\n")
@@ -230,7 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
-def main(argv: Optional[Sequence[str]] = None) -> int:
+def main(argv: Sequence[str] | None = None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

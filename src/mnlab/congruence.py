@@ -17,8 +17,7 @@ plain tuples and ``Partition`` objects alike.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from collections.abc import Callable, Sequence
 
 from .lattice import FinLattice, _bits
 from .partition import (INDEX_SIZE_BOUND, _pair_relation, bell_number,
@@ -30,27 +29,44 @@ ORACLE_SIZE_BOUND = 11
 MAPS_SIZE_BOUND = 8
 
 
-@dataclass(frozen=True)
 class UnaryAlgebra:
-    """A finite carrier {0..size-1} with a list of unary operation tables."""
+    """A finite carrier {0..size-1} with a list of unary operation tables.
+    Immutable; equal and hashed by size and tables, whatever the name."""
 
-    size: int
-    ops: tuple[tuple[int, ...], ...]
-    name: Optional[str] = field(default=None, compare=False)
+    __slots__ = ("size", "ops", "name")
 
-    def __post_init__(self):
-        if self.size < 1:
+    def __init__(self, size: int, ops: Sequence[Sequence[int]],
+                 name: str | None = None):
+        if size < 1:
             raise ValueError("carrier must be nonempty")
-        object.__setattr__(self, "ops", tuple(tuple(op) for op in self.ops))
-        for op in self.ops:
-            if len(op) != self.size or any(not 0 <= x < self.size for x in op):
-                raise ValueError(f"bad operation table {op!r} for size {self.size}")
+        ops = tuple(tuple(op) for op in ops)
+        for op in ops:
+            if len(op) != size or any(not 0 <= x < size for x in op):
+                raise ValueError(f"bad operation table {op!r} for size {size}")
+        for attr, value in (("size", size), ("ops", ops), ("name", name)):
+            object.__setattr__(self, attr, value)
+
+    def __setattr__(self, attr, *value):
+        raise AttributeError(f"cannot assign to field {attr!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):  # so that copy and pickle skip __setattr__
+        return UnaryAlgebra, (self.size, self.ops, self.name)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.size, self.ops) == (other.size, other.ops)
+
+    def __hash__(self) -> int:
+        return hash((self.size, self.ops))
 
     def __repr__(self) -> str:
         return f"UnaryAlgebra(size={self.size}, ops={len(self.ops)})"
 
 
-def gset_algebra(action: PermGroup, name: Optional[str] = None) -> UnaryAlgebra:
+def gset_algebra(action: PermGroup, name: str | None = None) -> UnaryAlgebra:
     """The unary algebra of a group action: one operation per generator.
 
     A partition is compatible with the whole group exactly when it is

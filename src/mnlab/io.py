@@ -14,14 +14,13 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Optional, Union
 
 from .congruence import UnaryAlgebra
 from .perm import DEFAULT_ORDER_BOUND, MAX_DEGREE, Perm, PermGroup, mulclose
 
 FORMAT_VERSION = 1
 
-Pathish = Union[str, Path]
+Pathish = str | Path
 
 
 class FormatError(ValueError):
@@ -50,7 +49,7 @@ def _int(x) -> int:
     return x
 
 
-def group_to_dict(G: PermGroup, name: Optional[str] = None) -> dict:
+def group_to_dict(G: PermGroup, name: str | None = None) -> dict:
     out = {
         "format": FORMAT_VERSION,
         "degree": G.degree,
@@ -81,7 +80,7 @@ def group_from_dict(data: dict, path: Pathish = "<group>") -> PermGroup:
     return PermGroup(degree, gens, eset)
 
 
-def save_group(G: PermGroup, path: Pathish, name: Optional[str] = None) -> None:
+def save_group(G: PermGroup, path: Pathish, name: str | None = None) -> None:
     Path(path).write_text(json.dumps(group_to_dict(G, name), indent=2) + "\n")
 
 

@@ -18,8 +18,8 @@ enter as the bit positions of their pair relations).
 
 from __future__ import annotations
 
+from collections.abc import Callable, Collection, Iterator, Sequence
 from functools import cached_property, reduce
-from typing import Callable, Collection, Iterator, Optional, Sequence
 
 
 def _bits(x: int) -> Iterator[int]:
@@ -30,7 +30,7 @@ def _bits(x: int) -> Iterator[int]:
         x ^= low
 
 
-def _mn_of(mids: Sequence, leq: Callable[[object, object], bool]) -> Optional[int]:
+def _mn_of(mids: Sequence, leq: Callable[[object, object], bool]) -> int | None:
     """n = len(mids) if the middle elements of a bounded order make it M_n:
     at least 3 of them, pairwise incomparable under ``leq``.  None otherwise."""
     n = len(mids)
@@ -46,7 +46,7 @@ def _mn_of(mids: Sequence, leq: Callable[[object, object], bool]) -> Optional[in
 class NotALatticeError(ValueError):
     """The given order is not a lattice; carries one offending pair."""
 
-    def __init__(self, message: str, pair: Optional[tuple[int, int]] = None):
+    def __init__(self, message: str, pair: tuple[int, int] | None = None):
         super().__init__(message)
         self.pair = pair
 
@@ -57,7 +57,7 @@ class FinLattice:
     ``covers``: bit j of ``covers[i]`` is set iff j covers i (strictly
     above, nothing between)."""
 
-    def __init__(self, up: Sequence[int], labels: Optional[Sequence[str]] = None):
+    def __init__(self, up: Sequence[int], labels: Sequence[str] | None = None):
         self.up = tuple(up)
         self.n = n = len(self.up)
         self.labels = tuple(labels) if labels is not None else tuple(map(str, range(n)))
@@ -126,7 +126,7 @@ class FinLattice:
 
     @classmethod
     def from_inclusion(cls, sets: Sequence[Collection],
-                       labels: Optional[Sequence[str]] = None) -> "FinLattice":
+                       labels: Sequence[str] | None = None) -> "FinLattice":
         """The inclusion order of a family of sets: i <= j iff
         sets[i] <= sets[j], so up[i] is the AND of its members' columns."""
         full = (1 << len(sets)) - 1
@@ -186,7 +186,7 @@ class FinLattice:
     def __repr__(self) -> str:
         return f"FinLattice(n={self.n}, height={self.height})"
 
-    def detect_mn(self) -> Optional[int]:
+    def detect_mn(self) -> int | None:
         """n if this lattice is M_n (n >= 3): every element besides bottom
         and top is incomparable to every other."""
         mids = [i for i in range(self.n) if i != self.bottom and i != self.top]
@@ -197,7 +197,7 @@ class FinLattice:
         elements has two, one below each of them."""
         return all(not c & (c - 1) for c in self.covers)
 
-    def shape(self) -> tuple[str, Optional[int]]:
+    def shape(self) -> tuple[str, int | None]:
         """("M_n", n) / ("chain", None) / ("boolean-2", None) / ("other", None).
 
         The 2x2 lattice is reported as boolean-2, not as an M_n shape.

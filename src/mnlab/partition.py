@@ -31,10 +31,9 @@ process.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator, Sequence
 from functools import lru_cache
 from itertools import chain
-from typing import Iterable, Iterator, Sequence
 
 INDEX_SIZE_BOUND = 7
 
@@ -156,20 +155,27 @@ def _pair_relation(rgs: Sequence[int]) -> int:
     return bits
 
 
-@dataclass(frozen=True)
 class PartitionIndex:
-    """Every partition of an n-set, interned by its all_rgs(n) position."""
+    """Every partition of an n-set, interned by its all_rgs(n) position.
+    Build it with ``partition_index(n)``, which checks n and caches."""
 
-    parts: tuple[tuple[int, ...], ...]   # id -> RGS
-    rel: tuple[int, ...]                 # id -> pair-relation bitmask
-    co: tuple[int, ...]                  # id -> bitmask of coatoms above it
-    # derived from the fields above, so left out of == and hash
-    ids: dict[tuple[int, ...], int] = field(compare=False)   # RGS -> id
-    co_ids: dict[int, int] = field(compare=False)            # coatom mask -> id
-    pair_ids: dict[tuple[int, int], int] = field(compare=False)  # x, y -> bit
-    atoms: tuple[int, ...] = field(compare=False)  # bit -> atom's coatom mask
-
+    __slots__ = ("parts", "rel", "co", "ids", "co_ids", "pair_ids", "atoms")
     top = 0  # all_rgs(n) starts with the all-zero RGS
+
+    def __init__(self, n: int):
+        self.parts = parts = tuple(all_rgs(n))              # id -> RGS
+        self.rel = rel = tuple(map(_pair_relation, parts))  # id -> pair relation
+        coatoms = [rc for r, rc in zip(parts, rel) if max(r, default=0) == 1]
+        self.co = co = tuple(  # id -> bitmask of coatoms above it
+            sum(1 << c for c, rc in enumerate(coatoms) if not ri & ~rc) for ri in rel)
+        self.ids = ids = {r: i for i, r in enumerate(parts)}  # RGS -> id
+        self.co_ids = {m: i for i, m in enumerate(co)}        # coatom mask -> id
+        pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
+        self.pair_ids = {p: t for t, (x, y) in enumerate(pairs)  # x, y -> bit
+                         for p in ((x, y), (y, x))}
+        self.atoms = tuple(  # bit -> atom's coatom mask
+            co[ids[rgs_canonical(x if i == y else i for i in range(n))]]
+            for x, y in pairs)
 
     @property
     def bottom(self) -> int:
@@ -181,18 +187,7 @@ def partition_index(n: int) -> PartitionIndex:
     """The interned partitions of an n-set, built on first use."""
     if not 0 <= n <= INDEX_SIZE_BOUND:
         raise ValueError(f"carrier size {n} outside 0..{INDEX_SIZE_BOUND}")
-    parts = tuple(all_rgs(n))
-    rel = tuple(_pair_relation(r) for r in parts)
-    coatoms = [rc for r, rc in zip(parts, rel) if max(r, default=0) == 1]
-    co = tuple(sum(1 << c for c, rc in enumerate(coatoms) if not ri & ~rc)
-               for ri in rel)
-    ids = {r: i for i, r in enumerate(parts)}
-    pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
-    atoms = tuple(co[ids[rgs_canonical(x if i == y else i for i in range(n))]]
-                  for x, y in pairs)
-    return PartitionIndex(parts, rel, co, ids, {m: i for i, m in enumerate(co)},
-                          {p: t for t, (x, y) in enumerate(pairs)
-                           for p in ((x, y), (y, x))}, atoms)
+    return PartitionIndex(n)
 
 
 class Partition(tuple):

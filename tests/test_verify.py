@@ -9,11 +9,11 @@ from pathlib import Path
 
 import pytest
 
-from mnlab import (Partition, Perm, PermGroup, UnaryAlgebra, all_congruences,
-                   all_subgroups, catalog, check_lemma, check_theorem1,
-                   check_theorem2, congruences_oracle, galois_is_closed,
-                   gset_algebra, is_dihedral, minimal_representation, quotient,
-                   symmetric, verify)
+from mnlab import (Partition, Perm, PermGroup, UnaryAlgebra, VerificationReport,
+                   all_congruences, all_subgroups, catalog, check_lemma,
+                   check_theorem1, check_theorem2, congruences_oracle,
+                   galois_is_closed, gset_algebra, is_dihedral,
+                   minimal_representation, quotient, symmetric, verify)
 from mnlab.congruence import CON_SIZE_BOUND, _congruence_set
 from mnlab.partition import _rgs_blocks, rgs_closure, rgs_join, rgs_refines
 from mnlab.perm import _orbits, mulclose
@@ -478,6 +478,27 @@ class TestTheorem2:
             recorded = json.loads(THEOREM2_P3_S6.read_text())["witnesses"]
             closed = {frozenset(map(tuple, w["system"])) for w in recorded}
             assert closed in want
+
+
+class TestVerificationReport:
+    def test_defaults_are_fresh_per_report(self):
+        a, b = (VerificationReport(sweep="s", params={}, status="PASS")
+                for _ in range(2))
+        defaults = {"findings": [], "witnesses": [], "counterexamples": [],
+                    "counts": {}, "notes": []}
+        for attr, empty in defaults.items():
+            assert getattr(a, attr) == empty
+            assert getattr(a, attr) is not getattr(b, attr)
+        assert a.timing_ms == 0.0 and a.passed
+
+    def test_to_dict_keeps_the_field_order(self):
+        order = ["format", "sweep", "params", "status", "findings", "witnesses",
+                 "counterexamples", "counts", "notes", "timing_ms"]
+        report = VerificationReport(notes=["n"], timing_ms=1.23456, status="FAIL",
+                                    counts={"c": 1}, sweep="s", params={"p": 2})
+        assert list(report.to_dict()) == order
+        assert report.to_dict()["timing_ms"] == 1.235 and not report.passed
+        assert list(check_lemma(max_order=6).to_dict()) == order
 
 
 class TestMinimalRepresentation:
