@@ -220,7 +220,7 @@ def preserving_maps(size: int,
         if len(r) != size or not rgs_is_valid(r):
             raise ValueError(f"part {r!r} is not an RGS on {size} points")
     # pins[k][blk] = block that partition k forces images of blk into (-1 open)
-    pins = [[-1] * (max(r) + 1 if r else 0) for r in rgss]
+    pins = [[-1] * size for _ in rgss]
     table = [0] * size
     out: list[tuple[int, ...]] = []
 

@@ -167,9 +167,6 @@ class FinLattice:
     def atoms(self) -> list[int]:
         return list(_bits(self.covers[self.bottom]))
 
-    def coatoms(self) -> list[int]:
-        return [i for i, c in enumerate(self.covers) if c >> self.top & 1]
-
     def join(self, i: int, j: int) -> int:
         return self.up.index(self.up[i] & self.up[j])
 
@@ -207,8 +204,7 @@ class FinLattice:
             return ("M_n", mn)
         if self.is_chain():
             return ("chain", None)
-        if (self.n == 4 and self.height == 2
-                and len(self.atoms()) == 2 and set(self.atoms()) == set(self.coatoms())):
+        if self.n == 4:  # not a chain, so its two middles are incomparable
             return ("boolean-2", None)
         return ("other", None)
 

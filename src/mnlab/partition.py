@@ -31,7 +31,7 @@ process.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from functools import lru_cache
 from itertools import chain
 
@@ -90,14 +90,6 @@ def rgs_join(a: Sequence[int], b: Sequence[int]) -> tuple[int, ...]:
     return rgs_closure(len(a), pairs, ())
 
 
-def _rgs_blocks(rgs: Sequence[int]) -> tuple[tuple[int, ...], ...]:
-    """The blocks of an RGS, each sorted, in order of least point."""
-    out: list[list[int]] = [[] for _ in range(max(rgs, default=-1) + 1)]
-    for i, b in enumerate(rgs):
-        out[b].append(i)
-    return tuple(tuple(b) for b in out)
-
-
 def rgs_refines(a: Sequence[int], b: Sequence[int]) -> bool:
     """True iff every block of a lies inside a block of b (a <= b)."""
     pin: dict[int, int] = {}
@@ -110,26 +102,13 @@ def rgs_refines(a: Sequence[int], b: Sequence[int]) -> bool:
     return True
 
 
-def all_rgs(n: int) -> Iterator[tuple[int, ...]]:
-    """Every partition of an n-set, as RGS tuples in lexicographic order."""
-    if n == 0:
-        yield ()
-        return
-    rgs = [0] * n
-    maxes = [0] * n
-    while True:
-        yield tuple(rgs)
-        # scan for the rightmost position that can still grow
-        i = n - 1
-        while i > 0 and rgs[i] == maxes[i - 1] + 1:
-            i -= 1
-        if i == 0:
-            return
-        rgs[i] += 1
-        maxes[i] = max(maxes[i - 1], rgs[i])
-        for j in range(i + 1, n):
-            rgs[j] = 0
-            maxes[j] = maxes[i]
+def all_rgs(n: int) -> list[tuple[int, ...]]:
+    """Every partition of an n-set, as RGS tuples in lexicographic order:
+    each prefix, in order, extended by each block it may open next."""
+    out: list[tuple[int, ...]] = [()]
+    for _ in range(n):
+        out = [r + (b,) for r in out for b in range(max(r, default=-1) + 2)]
+    return out
 
 
 def bell_number(n: int) -> int:

@@ -207,9 +207,6 @@ class PermGroup(frozenset):
     def __repr__(self) -> str:
         return f"PermGroup(degree={self.degree}, order={self.order})"
 
-    def orbits(self) -> list[tuple[int, ...]]:
-        return _orbits(self.degree, self.generators)
-
 
 def _orbits(degree: int, gens: Sequence[Sequence[int]]) -> list[tuple[int, ...]]:
     """Orbits on {0..degree-1} of the group generated by ``gens`` (image

@@ -1,13 +1,13 @@
 """Mutation sweep over the sweeps in verify.py, the flag and factor checks in
 cli.py, the constructors and catalog in construct.py, the lattice check,
-its transpose, height, chain test and M_n detector in lattice.py, the coset
-action, cycle walk, closure and orbit walk in perm.py, the union-find, join,
-refinement and partition index in partition.py, and the principal
-congruences, join closure, Galois check and congruence lattice in
-congruence.py.
+its transpose, height, chain test, M_n detector and shape in lattice.py, the
+coset action, cycle walk, closure and orbit walk in perm.py, the union-find,
+join, refinement, enumeration and partition index in partition.py, and the
+principal congruences, join closure, Galois check, congruence lattice and
+preserving maps in congruence.py.
 
 Run from the root of a checkout (pytest does not collect this file; CI runs
-the lattice.py and perm.py triples):
+the lattice.py, perm.py and partition.py triples):
 
     python tests/mutants.py                  # every mutant, in a temp dir
     python tests/mutants.py --list           # print the mutants, run nothing
@@ -70,7 +70,8 @@ TARGETS = (
      ("tests/test_construct.py",)),
     (Path("src/mnlab/lattice.py"),
      ("_mn_of", "FinLattice._validate", "FinLattice.from_inclusion",
-      "FinLattice.down", "FinLattice.height", "FinLattice.is_chain"),
+      "FinLattice.down", "FinLattice.height", "FinLattice.is_chain",
+      "FinLattice.shape"),
      ("tests/test_lattice.py",)),
     (Path("src/mnlab/perm.py"),
      ("coset_action", "_on_cosets", "quotient", "is_normal", "_order_of",
@@ -87,12 +88,12 @@ TARGETS = (
       "tests/test_construct.py::TestCosetAction",
       "tests/test_verify.py::TestLemmaSweep")),
     (Path("src/mnlab/partition.py"),
-     ("rgs_closure", "rgs_join", "rgs_refines", "partition_index",
+     ("rgs_closure", "rgs_join", "rgs_refines", "all_rgs", "partition_index",
       "PartitionIndex.__init__"),
      ("tests/test_partition.py",)),
     (Path("src/mnlab/congruence.py"),
      ("_principals", "_join_closure", "_close", "galois_is_closed",
-      "_lattice_from_rgs"),
+      "_lattice_from_rgs", "preserving_maps"),
      ("tests/test_congruence.py",)),
 )
 MEMORY_BYTES = 2 << 30

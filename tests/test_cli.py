@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, file outputs, reproducibility."""
 
 import json
+import os
 import subprocess
 import sys
 import time
@@ -284,6 +285,19 @@ class TestVerify:
             assert recorded_digest(report) == recorded.strip()
         else:
             assert recorded_text(report) == recorded
+
+    @pytest.mark.parametrize("name", ["theorem1_p3.json", "theorem2_p3_s6.json"])
+    def test_report_does_not_depend_on_the_hash_seed(self, name):
+        """Each run of the suite has its own random hash seed, so a report
+        whose bytes followed the order of a str or bytes set would fail only
+        now and then; fixed seeds make that a steady failure."""
+        want = recorded_digest(json.loads((DATA / name).read_text()))
+        for seed in ("0", "1"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "mnlab.cli", "verify", *RECORDED[name]],
+                env=dict(os.environ, PYTHONHASHSEED=seed),
+                capture_output=True, text=True, check=True)
+            assert recorded_digest(json.loads(proc.stdout)) == want, seed
 
     def test_flags_the_sweep_does_not_read_are_usage_errors(self, capsys):
         for argv, flag in ((["lemma", "--p", "3"], "--p"),

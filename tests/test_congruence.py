@@ -414,6 +414,12 @@ class TestPreservingMaps:
     def test_size_bound(self):
         with pytest.raises(ValueError, match="exceeds bound"):
             preserving_maps(9, [])
+        # the bound itself is admitted: the maps keeping every pair of 8
+        # points together or swapped are the identity and the constants
+        atoms = [rgs_canonical(x if i == y else i for i in range(8))
+                 for x in range(8) for y in range(x + 1, 8)]
+        assert preserving_maps(8, atoms) == sorted(
+            [tuple(range(8))] + [(c,) * 8 for c in range(8)])
 
 
 def galois_closure(size, parts):

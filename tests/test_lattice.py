@@ -284,7 +284,7 @@ class TestShape:
             assert L.detect_mn() == n
             assert L.height == 2
             assert len(L.atoms()) == n
-            assert L.atoms() == L.coatoms()
+            assert L.atoms() == [i for i, c in enumerate(L.covers) if c >> L.top & 1]
 
     def test_three_chain_is_not_mn(self):
         assert chain(3).detect_mn() is None
@@ -310,6 +310,8 @@ class TestShape:
         L = m_n(2)
         assert L.detect_mn() is None
         assert L.shape() == ("boolean-2", None)
+        # the other 4-element lattice
+        assert chain(4).shape() == ("chain", None)
 
     def test_height_examples(self):
         assert m_n(4).height == 2

@@ -8,8 +8,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mnlab import Partition, bell_number
-from mnlab.partition import (_rgs_blocks, all_rgs, partition_index,
-                             rgs_canonical, rgs_closure, rgs_join, rgs_refines)
+from mnlab.partition import (all_rgs, partition_index, rgs_canonical,
+                             rgs_closure, rgs_join, rgs_refines)
 
 from oracles import all_partitions, closure_by_intersection, rgs_meet
 
@@ -36,10 +36,6 @@ class TestCanonicalForm:
         # same grouping, canonical numbering
         for i, j in itertools.combinations(range(len(labels)), 2):
             assert (p[i] == p[j]) == (labels[i] == labels[j])
-
-    def test_blocks_round_trip(self):
-        p = Partition((0, 1, 0, 2, 1))
-        assert _rgs_blocks(p) == ((0, 2), (1, 4), (3,))
 
     def test_value_is_the_rgs(self):
         p = Partition([0, 1, 0])

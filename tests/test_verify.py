@@ -15,7 +15,7 @@ from mnlab import (Partition, Perm, PermGroup, UnaryAlgebra, VerificationReport,
                    galois_is_closed, gset_algebra, is_dihedral,
                    minimal_representation, quotient, symmetric, verify)
 from mnlab.congruence import CON_SIZE_BOUND, _congruence_set
-from mnlab.partition import _rgs_blocks, rgs_closure, rgs_join, rgs_refines
+from mnlab.partition import rgs_closure, rgs_join, rgs_refines
 from mnlab.perm import _orbits, mulclose
 from mnlab.verify import _atom_systems, _mn_of, _orbit_firsts, _subgroup_key
 
@@ -75,8 +75,9 @@ class TestEnumeration:
             assert _orbits(degree, gens) == orbits_bfs(degree, gens), gens
             # and the blocks of the union-find closure of the pairs (x, g(x))
             pairs = [(i, j) for g in gens for i, j in enumerate(g)]
-            assert _orbits(degree, gens) == list(
-                _rgs_blocks(rgs_closure(degree, pairs, ()))), gens
+            rgs = rgs_closure(degree, pairs, ())
+            assert _orbits(degree, gens) == sorted(
+                {tuple(i for i, b in enumerate(rgs) if b == c) for c in rgs}), gens
 
     def test_transitivity_by_the_orbit_of_0(self, symmetric_subgroups):
         """check_theorem1 reads transitivity as the orbit of point 0 being
