@@ -19,9 +19,9 @@ from __future__ import annotations
 import operator
 from collections.abc import Callable, Sequence
 
-from .lattice import FinLattice, _bits
-from .partition import (INDEX_SIZE_BOUND, _pair_relation, bell_number,
-                        partition_index, rgs_closure, rgs_is_valid, rgs_join)
+from .lattice import FinLattice
+from .partition import (INDEX_SIZE_BOUND, bell_number, partition_index,
+                        rgs_closure, rgs_is_valid, rgs_join, rgs_tables)
 from .perm import PermGroup
 
 CON_SIZE_BOUND = 64
@@ -141,15 +141,15 @@ def _congruence_set(size: int, ops: Sequence[Sequence[int]]) -> set[tuple[int, .
 
 
 def _lattice_from_rgs(rgs_set: set[tuple[int, ...]]) -> FinLattice:
-    """Ordered by refinement, which is inclusion of the related pairs, each
-    partition given as the bit positions of its pair relation: the partition
-    index's ``rel`` up to INDEX_SIZE_BOUND points, ``_pair_relation`` above."""
-    items = sorted(rgs_set)
-    labels = [",".join(map(str, r)) for r in items]
-    n = len(items[0])
-    ix = partition_index(n) if n <= INDEX_SIZE_BOUND else None
-    rels = [ix.rel[ix.ids[r]] if ix else _pair_relation(r) for r in items]
-    return FinLattice.from_inclusion([tuple(_bits(m)) for m in rels], labels)
+    """Ordered by refinement, inclusion of the related pairs, in RGS order:
+    ``rgs_tables``, read off the partition index up to INDEX_SIZE_BOUND."""
+    n = len(next(iter(rgs_set)))
+    if n > INDEX_SIZE_BOUND:
+        return FinLattice.from_inclusion(*rgs_tables(sorted(rgs_set), n))
+    ix = partition_index(n)
+    ids = sorted(map(ix.ids.__getitem__, rgs_set))
+    return FinLattice.from_inclusion([ix.related[i] for i in ids],
+                                     [ix.labels[i] for i in ids])
 
 
 def all_congruences(A: UnaryAlgebra) -> FinLattice:

@@ -7,13 +7,13 @@ takes the highest-indexed j above i that is left and drops j's up-set, so
 where indices fall going up the order (congruences sorted by RGS) it takes
 one j per cover, not one per comparable pair.  It fills ``covers`` and
 verifies that the order really is a lattice: a partial order with unique
-bottom and top in which every pair has a join.  Only the
-pairs with a join-irreducible member (one lower cover) are tested: every
-other element above the bottom is the join of two of its lower covers, so
-its joins follow from theirs.  Meets follow too, so they are not checked:
-the meet of a pair is the join of its common lower bounds, the bottom among
-them.  ``from_inclusion`` builds the order of a family of sets (partitions
-enter as the bit positions of their pair relations).
+bottom and top in which every pair has a join.  Only the pairs with a
+join-irreducible member (one lower cover; two running masks over the covers
+find them) are tested: every other element above the bottom is the join of
+two of its lower covers, so its joins follow from theirs.  Meets follow too,
+so they are not checked: the meet of a pair is the join of its common lower
+bounds, the bottom among them.  ``from_inclusion`` builds the order of a
+family of sets (partitions enter as the positions of their related pairs).
 """
 
 from __future__ import annotations
@@ -112,15 +112,15 @@ class FinLattice:
         # cover) suffices, by induction on the down-set of y: x v 0 = x, and
         # a y with lower covers a != b is a v b (a < a v b <= y, and y covers
         # a), so x v y = (x v a) v b, two joins with elements below y.
+        once = twice = 0  # elements with at least one, two lower covers
+        for c in covers:
+            twice |= once & c
+            once |= c
+        irreducible = [(j, up[j]) for j in _bits(once ^ twice)]  # one cover
         ups = set(up)
-        lower = [0] * n  # lower-cover counts
-        for c in self.covers:
-            for j in _bits(c):
-                lower[j] += 1
-        irreducible = [j for j in range(n) if lower[j] == 1]
-        for x in range(n):
-            for j in irreducible:
-                if up[x] & up[j] not in ups:
+        for x, ux in enumerate(up):
+            for j, uj in irreducible:
+                if ux & uj not in ups:
                     raise NotALatticeError(
                         f"elements {x} and {j} have no join", (x, j))
 

@@ -13,27 +13,28 @@ points are both closures of this kind.
 For carriers of up to INDEX_SIZE_BOUND points, ``partition_index(n)`` interns
 every partition of an n-set by its position in ``all_rgs(n)`` order, so the
 top (all zeros) is id 0 and the bottom (all singletons) is the last id.  The
-index holds two bitmasks per partition.  Its pair relation has one bit per
-pair x < y, so meet is ``&`` (disjoint relations meet at the bottom).  Its
-coatom mask has one bit per two-block partition above it.  Every partition
-but the top is the meet of its coatoms, so a join is the top exactly when
-the coatom masks are disjoint, and a join's coatom mask is their ``&``.
-Either mask decides refinement by a subset test.  Two lookups invert the
-tables: ``ids`` maps an RGS to its id and ``co_ids`` a coatom mask to its
+index holds each partition's ``rgs_tables`` entries and two bitmasks.  Its
+pair relation has a bit per related pair, so meet is ``&`` (disjoint
+relations meet at the bottom).  Its coatom mask, one bit per two-block
+partition above it, is the ``&`` of the coatoms relating each of its pairs.
+Every partition but the top is the meet of its coatoms, so a join is the top
+exactly when the coatom masks are disjoint, and a join's coatom mask is their
+``&``.  Either mask decides refinement by a subset test.  Two lookups invert
+the tables: ``ids`` maps an RGS to its id and ``co_ids`` a coatom mask to its
 id, and ``pair_ids`` a pair to its bit in a pair relation; ``atoms`` holds
 each pair's atom as a coatom mask.  It serves theorem 2's clique searches,
 which count candidate systems from one partition per block-size shape and
-list the pairwise-top ones, and the principal congruences and their join
-closure on coatom masks up to INDEX_SIZE_BOUND points.
-The index is built on first use for each n and kept for the life of the
-process.
+list the pairwise-top ones, and principal congruences, their join closure and
+their lattice, up to INDEX_SIZE_BOUND points.  The index is built on first
+use for each n and kept for the life of the process.
 """
 
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from functools import lru_cache
-from itertools import chain
+from functools import lru_cache, reduce
+from itertools import chain, combinations
+from operator import and_
 
 INDEX_SIZE_BOUND = 7
 
@@ -122,39 +123,38 @@ def bell_number(n: int) -> int:
     return row[0]
 
 
-def _pair_relation(rgs: Sequence[int]) -> int:
-    """Bit t set iff the t-th pair x < y (in lexicographic order) is related."""
-    bits = 0
-    t = 0
-    for x, bx in enumerate(rgs):
-        for by in rgs[x + 1:]:
-            if bx == by:
-                bits |= 1 << t
-            t += 1
-    return bits
+def rgs_tables(parts: Sequence[Sequence[int]],
+               n: int) -> tuple[list[tuple[int, ...]], list[str]]:
+    """For RGSs on n points, the positions of the pairs x < y each relates,
+    the pairs numbered in lexicographic order, and each label ("0,1,0")."""
+    pairs = [(t, x, y) for t, (x, y) in enumerate(combinations(range(n), 2))]
+    return ([tuple([t for t, x, y in pairs if r[x] == r[y]]) for r in parts],
+            [",".join(map(str, r)) for r in parts])
 
 
 class PartitionIndex:
     """Every partition of an n-set, interned by its all_rgs(n) position.
     Build it with ``partition_index(n)``, which checks n and caches."""
 
-    __slots__ = ("parts", "rel", "co", "ids", "co_ids", "pair_ids", "atoms")
+    __slots__ = ("parts", "labels", "related", "rel", "co", "ids", "co_ids",
+                 "pair_ids", "atoms")
     top = 0  # all_rgs(n) starts with the all-zero RGS
 
     def __init__(self, n: int):
-        self.parts = parts = tuple(all_rgs(n))              # id -> RGS
-        self.rel = rel = tuple(map(_pair_relation, parts))  # id -> pair relation
-        coatoms = [rc for r, rc in zip(parts, rel) if max(r, default=0) == 1]
-        self.co = co = tuple(  # id -> bitmask of coatoms above it
-            sum(1 << c for c, rc in enumerate(coatoms) if not ri & ~rc) for ri in rel)
-        self.ids = ids = {r: i for i, r in enumerate(parts)}  # RGS -> id
-        self.co_ids = {m: i for i, m in enumerate(co)}        # coatom mask -> id
-        pairs = [(x, y) for x in range(n) for y in range(x + 1, n)]
-        self.pair_ids = {p: t for t, (x, y) in enumerate(pairs)  # x, y -> bit
-                         for p in ((x, y), (y, x))}
-        self.atoms = tuple(  # bit -> atom's coatom mask
-            co[ids[rgs_canonical(x if i == y else i for i in range(n))]]
-            for x, y in pairs)
+        self.parts = parts = tuple(all_rgs(n))  # id -> RGS
+        related, labels = rgs_tables(parts, n)  # id -> pair positions, label
+        self.related, self.labels = tuple(related), tuple(labels)
+        self.rel = tuple([sum([1 << t for t in ts]) for ts in related])  # as masks
+        coatoms = [ts for r, ts in zip(parts, related) if 1 in r and 2 not in r]
+        self.atoms = by_pair = tuple([  # bit -> atom's coatom mask (id 0 relates all)
+            sum(1 << c for c, s in enumerate(coatoms) if t in s) for t in related[0]])
+        full = (1 << len(coatoms)) - 1
+        self.co = co = tuple([  # id -> bitmask of coatoms above it
+            reduce(and_, map(by_pair.__getitem__, ts), full) for ts in related])
+        self.ids = {r: i for i, r in enumerate(parts)}  # RGS -> id
+        self.co_ids = {m: i for i, m in enumerate(co)}  # coatom mask -> id
+        self.pair_ids = {p: t for t, (x, y) in enumerate(combinations(range(n), 2))
+                         for p in ((x, y), (y, x))}  # x, y -> bit
 
     @property
     def bottom(self) -> int:

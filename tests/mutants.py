@@ -2,12 +2,12 @@
 cli.py, the constructors and catalog in construct.py, the lattice check,
 its transpose, height, chain test, M_n detector and shape in lattice.py, the
 coset action, cycle walk, closure and orbit walk in perm.py, the union-find,
-join, refinement, enumeration and partition index in partition.py, and the
-principal congruences, join closure, Galois check, congruence lattice and
-preserving maps in congruence.py.
+join, refinement, enumeration, related pairs and partition index in
+partition.py, and the principal congruences, join closure, Galois check,
+congruence lattice and preserving maps in congruence.py.
 
 Run from the root of a checkout (pytest does not collect this file; CI runs
-the lattice.py, perm.py and partition.py triples):
+the lattice.py, perm.py, partition.py and congruence.py triples):
 
     python tests/mutants.py                  # every mutant, in a temp dir
     python tests/mutants.py --list           # print the mutants, run nothing
@@ -88,8 +88,8 @@ TARGETS = (
       "tests/test_construct.py::TestCosetAction",
       "tests/test_verify.py::TestLemmaSweep")),
     (Path("src/mnlab/partition.py"),
-     ("rgs_closure", "rgs_join", "rgs_refines", "all_rgs", "partition_index",
-      "PartitionIndex.__init__"),
+     ("rgs_closure", "rgs_join", "rgs_refines", "all_rgs", "rgs_tables",
+      "partition_index", "PartitionIndex.__init__"),
      ("tests/test_partition.py",)),
     (Path("src/mnlab/congruence.py"),
      ("_principals", "_join_closure", "_close", "galois_is_closed",
@@ -156,11 +156,11 @@ EQUIVALENT = {
         "a principal congruence Cg(a, b) relates a and b, so none is the"
         " bottom, which `want` holds: the principals lie in `want` exactly"
         " when they lie strictly in it",
-    "_lattice_from_rgs op 0 flipped: ix = partition_index(n) if n <="
-    " INDEX_SIZE_BOUND else None -> ix = partition_index(n) if n <"
-    " INDEX_SIZE_BOUND else None":
-        "the index builds each rel with _pair_relation, so at 7 points the"
-        " mutant computes the same masks the index holds",
+    "_lattice_from_rgs op 0 flipped: if n > INDEX_SIZE_BOUND: -> if n >="
+    " INDEX_SIZE_BOUND:":
+        "the index holds rgs_tables of all_rgs(n), whose ids follow RGS"
+        " order, so at 7 points the mutant computes the same related pairs"
+        " and labels, in the same order",
     "_atom_systems -1: proper = range(1, ix.bottom) -> proper ="
     " range(0, ix.bottom)":
         "`proper` then takes in the top (id 0), whose pair relation meets every"

@@ -197,6 +197,18 @@ class TestConstruction:
                 assert is_lattice(leq)
         assert named >= 30
 
+    def test_missing_join_is_sought_among_join_irreducibles(self):
+        """X = a v b and Y = c v d have two minimal upper bounds, so neither
+        X v Y nor X v c exists.  X and Y come first, but joins are tested
+        only against the join-irreducibles, here the atoms a..d, so the
+        pair reported is X and c."""
+        X, Y, a, b, c, d = {1, 2}, {3, 4}, {1}, {2}, {3}, {4}
+        family = [X, Y, set(), a, b, c, d, {1, 2, 3, 4, 5}, {1, 2, 3, 4, 6},
+                  {1, 2, 3, 4, 5, 6}]
+        with pytest.raises(NotALatticeError) as err:
+            FinLattice.from_inclusion(family)
+        assert err.value.pair == (0, 5)
+
     def test_walk_on_seeded_families(self):
         built = 0
         for family, leq in seeded_families():

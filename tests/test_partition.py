@@ -182,6 +182,31 @@ class TestPartitionIndex:
         for (i, a), (j, b) in itertools.product(enumerate(ix.parts), repeat=2):
             assert (ix.co[j] & ~ix.co[i] == 0) == rgs_refines(a, b)
 
+    @pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 5, 6, 7])
+    def test_labels_and_related_pairs(self, n):
+        """labels[i] is parts[i] with commas, and related[i] lists, rising,
+        the positions of the pairs x < y, numbered in lexicographic order,
+        that lie in one block of parts[i]; rel[i] has those bits."""
+        ix = partition_index(n)
+        pairs = list(itertools.combinations(range(n), 2))
+        assert len(ix.labels) == len(ix.related) == len(ix.parts)
+        for i, r in enumerate(ix.parts):
+            assert ix.labels[i] == ",".join(str(b) for b in r)
+            want = tuple(t for t, (x, y) in enumerate(pairs) if r[x] == r[y])
+            assert ix.related[i] == want
+            assert ix.rel[i] == sum(1 << t for t in want)
+
+    @pytest.mark.parametrize("n", [6, 7])
+    def test_coatom_masks_by_definition(self, n):
+        """Bit c of co[i] is set iff parts[i] refines the c-th two-block
+        partition, in all_rgs order."""
+        ix = partition_index(n)
+        coatoms = [r for r in ix.parts if len(set(r)) == 2]
+        assert len(coatoms) == 2 ** (n - 1) - 1
+        for i, r in enumerate(ix.parts):
+            assert ix.co[i] == sum(1 << c for c, q in enumerate(coatoms)
+                                   if rgs_refines(r, q))
+
     def test_size_7_index(self):
         ix = partition_index(7)
         assert len(ix.parts) == 877
